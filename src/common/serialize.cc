@@ -112,6 +112,17 @@ Result<int64_t> Reader::GetVarintSigned() {
   return static_cast<int64_t>((zz >> 1) ^ (~(zz & 1) + 1));
 }
 
+Result<uint64_t> Reader::GetCount(size_t min_element_bytes) {
+  auto n = GetVarint();
+  if (!n.ok()) return n.status();
+  if (*n > remaining() / min_element_bytes) {
+    return Status::Corruption("count " + std::to_string(*n) +
+                              " exceeds the " + std::to_string(remaining()) +
+                              " bytes left");
+  }
+  return *n;
+}
+
 Result<std::string> Reader::GetString() {
   auto len = GetVarint();
   if (!len.ok()) return len.status();

@@ -106,6 +106,11 @@ class Reader {
     return GetVarintSlow();
   }
   Result<int64_t> GetVarintSigned();
+  // Varint element count for elements that each occupy at least
+  // `min_element_bytes` (> 0) of the input. Fails with Corruption when
+  // that many elements cannot fit in remaining(), so a hostile count
+  // never reaches a reserve/resize.
+  Result<uint64_t> GetCount(size_t min_element_bytes);
   Result<std::string> GetString();
   Result<Bytes> GetBytes();
 

@@ -8,32 +8,40 @@ namespace edgelet::crypto {
 
 namespace {
 
-// mac = Poly1305(otk, aad || pad16 || ct || pad16 || len(aad) || len(ct)),
-// computed incrementally over the aad and ciphertext in place — the padded
-// concatenation never exists as a buffer.
-Tag128 ComputeTag(const Key256& key, const Nonce96& nonce, const uint8_t* aad,
-                  size_t aad_len, const uint8_t* ciphertext, size_t ct_len) {
-  // One-time Poly1305 key = first 32 bytes of ChaCha20 block 0.
-  std::array<uint8_t, 64> block0 = ChaCha20Block(key, nonce, 0);
-  std::array<uint8_t, 32> otk;
-  std::memcpy(otk.data(), block0.data(), 32);
+// Block 0 (whose first 32 bytes are the Poly1305 one-time key) and
+// payload blocks 1-3 come from one 4-wide batch at counter 0 — one vector
+// generation where a separate scalar block for the key used to be.
+struct FirstBatch {
+  alignas(64) uint8_t ks[kChaCha20Batch4Bytes];
 
-  static constexpr uint8_t kPad[16] = {0};
-  Poly1305 mac(otk);
-  mac.Update(aad, aad_len);
-  if (aad_len % 16 != 0) mac.Update(kPad, 16 - aad_len % 16);
-  mac.Update(ciphertext, ct_len);
-  if (ct_len % 16 != 0) mac.Update(kPad, 16 - ct_len % 16);
-  uint8_t lens[16];
-  uint64_t vals[2] = {aad_len, ct_len};
-  for (int v = 0; v < 2; ++v) {
-    for (int i = 0; i < 8; ++i) {
-      lens[8 * v + i] = static_cast<uint8_t>(vals[v] >> (8 * i));
-    }
+  FirstBatch(const Key256& key, const Nonce96& nonce) {
+    ChaCha20Blocks4(key, nonce, 0, ks);
   }
-  mac.Update(lens, 16);
-  return mac.Finalize();
-}
+
+  // mac = Poly1305(otk, aad || pad16 || ct || pad16 || len(aad) ||
+  // len(ct)), computed incrementally over the aad and ciphertext in place —
+  // the padded concatenation never exists as a buffer.
+  Tag128 Tag(const uint8_t* aad, size_t aad_len, const uint8_t* ciphertext,
+             size_t ct_len) const {
+    std::array<uint8_t, 32> otk;
+    std::memcpy(otk.data(), ks, otk.size());
+    static constexpr uint8_t kPad[16] = {0};
+    Poly1305 mac(otk);
+    mac.Update(aad, aad_len);
+    if (aad_len % 16 != 0) mac.Update(kPad, 16 - aad_len % 16);
+    mac.Update(ciphertext, ct_len);
+    if (ct_len % 16 != 0) mac.Update(kPad, 16 - ct_len % 16);
+    uint8_t lens[16];
+    uint64_t vals[2] = {aad_len, ct_len};
+    for (int v = 0; v < 2; ++v) {
+      for (int i = 0; i < 8; ++i) {
+        lens[8 * v + i] = static_cast<uint8_t>(vals[v] >> (8 * i));
+      }
+    }
+    mac.Update(lens, 16);
+    return mac.Finalize();
+  }
+};
 
 }  // namespace
 
@@ -42,9 +50,9 @@ void AeadSealInto(const Key256& key, const Nonce96& nonce, const uint8_t* aad,
                   size_t plaintext_len, Bytes* out) {
   out->resize(plaintext_len + 16);
   if (plaintext_len > 0) std::memcpy(out->data(), plaintext, plaintext_len);
-  ChaCha20XorInPlace(key, nonce, 1, out->data(), plaintext_len);
-  Tag128 tag = ComputeTag(key, nonce, aad, aad_len, out->data(),
-                          plaintext_len);
+  const FirstBatch batch(key, nonce);
+  ChaCha20XorAfterBlock0(key, nonce, batch.ks, out->data(), plaintext_len);
+  Tag128 tag = batch.Tag(aad, aad_len, out->data(), plaintext_len);
   std::memcpy(out->data() + plaintext_len, tag.data(), tag.size());
 }
 
@@ -55,15 +63,16 @@ Status AeadOpenInto(const Key256& key, const Nonce96& nonce,
     return Status::Corruption("AEAD message shorter than tag");
   }
   size_t ct_len = sealed_len - 16;
-  // The tag runs over the ciphertext region of `sealed` directly; no
-  // intermediate ciphertext copy is made.
-  Tag128 expected = ComputeTag(key, nonce, aad, aad_len, sealed, ct_len);
+  // The tag runs over the ciphertext region of `sealed` directly (no
+  // intermediate copy) and is verified before anything is decrypted.
+  const FirstBatch batch(key, nonce);
+  Tag128 expected = batch.Tag(aad, aad_len, sealed, ct_len);
   if (!ConstantTimeEquals(expected.data(), sealed + ct_len, 16)) {
     return Status::Corruption("AEAD tag mismatch");
   }
   out->resize(ct_len);
   if (ct_len > 0) std::memcpy(out->data(), sealed, ct_len);
-  ChaCha20XorInPlace(key, nonce, 1, out->data(), ct_len);
+  ChaCha20XorAfterBlock0(key, nonce, batch.ks, out->data(), ct_len);
   return Status::OK();
 }
 

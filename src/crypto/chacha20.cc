@@ -255,6 +255,24 @@ std::array<uint8_t, 64> ChaCha20Block(const Key256& key, const Nonce96& nonce,
   return out;
 }
 
+void ChaCha20Blocks4(const Key256& key, const Nonce96& nonce,
+                     uint32_t counter, uint8_t out[kChaCha20Batch4Bytes]) {
+  static_assert(kChaCha20Batch4Bytes == kBatch4Bytes);
+  uint32_t state[16];
+  InitState(state, key, nonce, counter);
+  Blocks4(state, out);
+}
+
+void ChaCha20XorAfterBlock0(const Key256& key, const Nonce96& nonce,
+                            const uint8_t batch[kChaCha20Batch4Bytes],
+                            uint8_t* data, size_t len) {
+  const size_t head = len < kBatch4Bytes - kBlockBytes
+                          ? len
+                          : kBatch4Bytes - kBlockBytes;
+  XorBytes(data, batch + kBlockBytes, head);
+  if (len > head) ChaCha20XorInPlace(key, nonce, 4, data + head, len - head);
+}
+
 void ChaCha20XorInPlace(const Key256& key, const Nonce96& nonce,
                         uint32_t counter, uint8_t* data, size_t len) {
   uint32_t state[16];

@@ -2,6 +2,7 @@
 #define EDGELET_CRYPTO_CHACHA20_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/bytes.h"
@@ -25,10 +26,25 @@ Bytes ChaCha20Xor(const Key256& key, const Nonce96& nonce, uint32_t counter,
 void ChaCha20XorInPlace(const Key256& key, const Nonce96& nonce,
                         uint32_t counter, uint8_t* data, size_t len);
 
-// Raw 64-byte keystream block; exposed for Poly1305 key derivation and
-// for tests against the RFC 8439 vectors.
+// Raw 64-byte keystream block; exposed for tests against the RFC 8439
+// vectors.
 std::array<uint8_t, 64> ChaCha20Block(const Key256& key, const Nonce96& nonce,
                                       uint32_t counter);
+
+// Four consecutive keystream blocks (counters counter..counter+3) from one
+// 4-wide vector batch.
+constexpr size_t kChaCha20Batch4Bytes = 4 * 64;
+void ChaCha20Blocks4(const Key256& key, const Nonce96& nonce,
+                     uint32_t counter, uint8_t out[kChaCha20Batch4Bytes]);
+
+// The AEAD's one-batch keystream: `batch` holds blocks 0-3 from
+// ChaCha20Blocks4 at counter 0 (block 0 supplies the Poly1305 one-time
+// key). XORs data[0..len) with the keystream from counter 1 — blocks 1-3
+// from `batch`, the rest generated from counter 4 — so the result equals
+// ChaCha20XorInPlace(key, nonce, 1, data, len).
+void ChaCha20XorAfterBlock0(const Key256& key, const Nonce96& nonce,
+                            const uint8_t batch[kChaCha20Batch4Bytes],
+                            uint8_t* data, size_t len);
 
 }  // namespace edgelet::crypto
 

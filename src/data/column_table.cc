@@ -298,4 +298,62 @@ Result<Table> TableView::ProjectToTable(
   return out;
 }
 
+// --- ProjectionEncoder --------------------------------------------------------
+
+Result<ProjectionEncoder> ProjectionEncoder::Make(
+    const Schema& schema, const std::vector<std::string>& columns) {
+  auto projected = schema.Project(columns);
+  if (!projected.ok()) return projected.status();
+  ProjectionEncoder enc;
+  enc.cells_.reserve(columns.size());
+  for (const auto& c : columns) {
+    size_t idx = *schema.IndexOf(c);  // Project succeeded: present
+    enc.cells_.push_back({idx, schema.column(idx).type});
+  }
+  Writer w;
+  projected->Serialize(&w);
+  enc.schema_bytes_ = w.Take();
+  return enc;
+}
+
+void ProjectionEncoder::EncodeRows(const TableView& view, Writer* w) const {
+  w->PutRaw(schema_bytes_.data(), schema_bytes_.size());
+  w->PutVarint(view.num_rows());
+  for (size_t r = 0; r < view.num_rows(); ++r) {
+    EncodeCells(view.store(), view.StoreRow(r), w);
+  }
+}
+
+void ProjectionEncoder::EncodeRow(const ColumnTable& store, size_t row,
+                                  Writer* w) const {
+  w->PutRaw(schema_bytes_.data(), schema_bytes_.size());
+  w->PutVarint(1);
+  EncodeCells(store, row, w);
+}
+
+void ProjectionEncoder::EncodeCells(const ColumnTable& store, size_t row,
+                                    Writer* w) const {
+  // Mirrors ColumnTable::ValueAt + Value::Serialize cell by cell.
+  for (const Cell& cell : cells_) {
+    if (store.IsNull(row, cell.col)) {
+      PutNullCell(w);
+      continue;
+    }
+    switch (cell.type) {
+      case ValueType::kInt64:
+        PutInt64Cell(w, store.Int64At(row, cell.col));
+        break;
+      case ValueType::kDouble:
+        PutDoubleCell(w, store.DoubleAt(row, cell.col));
+        break;
+      case ValueType::kString:
+        PutStringCell(w, store.StringAt(row, cell.col));
+        break;
+      case ValueType::kNull:
+        PutNullCell(w);
+        break;
+    }
+  }
+}
+
 }  // namespace edgelet::data

@@ -219,8 +219,9 @@ class TableView {
   // Full row table with this view's schema. O(num_rows) — boundary and
   // compat paths only.
   Table ToTable() const;
-  // Row table restricted to the named columns, in order — what actors
-  // serialize as per-vertical-group contributions.
+  // Row table restricted to the named columns, in order. The contribution
+  // send path does not build it: ProjectionEncoder writes the same bytes
+  // straight from the columns.
   Result<Table> ProjectToTable(const std::vector<std::string>& columns) const;
 
  private:
@@ -228,6 +229,35 @@ class TableView {
   size_t begin_ = 0;
   size_t count_ = 0;
   std::vector<uint32_t> selection_;
+};
+
+// Column-to-wire encoder for one projection of a ColumnTable schema: what
+// contributors put on the wire per vertical group. It writes exactly the
+// bytes of view.ProjectToTable(columns)->Serialize(w) straight from the
+// typed columns — no Table, Tuple or Value is built per row. The column
+// indices, their types and the serialized projected schema are resolved
+// once, by Make; the encoder then serves any view over a store with that
+// schema.
+class ProjectionEncoder {
+ public:
+  // Fails like Schema::Project (NotFound for a column not in `schema`).
+  static Result<ProjectionEncoder> Make(
+      const Schema& schema, const std::vector<std::string>& columns);
+
+  // Appends the projection of every row of `view`.
+  void EncodeRows(const TableView& view, Writer* w) const;
+  // Appends the one-row projection of store row `row`.
+  void EncodeRow(const ColumnTable& store, size_t row, Writer* w) const;
+
+ private:
+  struct Cell {
+    size_t col;
+    ValueType type;
+  };
+  void EncodeCells(const ColumnTable& store, size_t row, Writer* w) const;
+
+  std::vector<Cell> cells_;
+  Bytes schema_bytes_;
 };
 
 }  // namespace edgelet::data

@@ -33,7 +33,8 @@ void Schema::Serialize(Writer* w) const {
 }
 
 Result<Schema> Schema::Deserialize(Reader* r) {
-  auto n = r->GetVarint();
+  // A column is at least a one-byte name length plus its type tag.
+  auto n = r->GetCount(2);
   if (!n.ok()) return n.status();
   std::vector<Column> cols;
   cols.reserve(*n);

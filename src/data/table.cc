@@ -121,11 +121,17 @@ void Table::Serialize(Writer* w) const {
 Result<Table> Table::Deserialize(Reader* r) {
   auto schema = Schema::Deserialize(r);
   if (!schema.ok()) return schema.status();
-  auto n = r->GetVarint();
+  const size_t arity = schema->num_columns();
+  // Every cell is at least its type tag byte. Rows of a zero-arity table
+  // occupy no input at all, so their count gets a fixed cap instead.
+  auto n = arity > 0 ? r->GetCount(arity) : r->GetVarint();
   if (!n.ok()) return n.status();
+  if (arity == 0 && *n > kMaxColumnlessRows) {
+    return Status::Corruption("zero-arity table claims " +
+                              std::to_string(*n) + " rows");
+  }
   Table out(std::move(*schema));
   out.Reserve(*n);
-  const size_t arity = out.schema().num_columns();
   for (uint64_t i = 0; i < *n; ++i) {
     Tuple t;
     t.reserve(arity);

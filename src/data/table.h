@@ -73,7 +73,12 @@ class Table {
   Result<std::vector<double>> NumericColumn(std::string_view column) const;
 
   void Serialize(Writer* w) const;
+  // Total on hostile input: row and column counts that cannot fit in the
+  // remaining bytes fail with a Status before anything is reserved.
   static Result<Table> Deserialize(Reader* r);
+  // Most rows a zero-arity table may claim on decode (its rows cost no
+  // input bytes, so the byte bound cannot cap them).
+  static constexpr uint64_t kMaxColumnlessRows = uint64_t{1} << 20;
 
   bool operator==(const Table& other) const {
     return schema_ == other.schema_ && rows_ == other.rows_;

@@ -52,18 +52,18 @@ std::string Value::ToString() const {
 }
 
 void Value::Serialize(Writer* w) const {
-  w->PutU8(static_cast<uint8_t>(type()));
   switch (type()) {
     case ValueType::kNull:
+      PutNullCell(w);
       break;
     case ValueType::kInt64:
-      w->PutVarintSigned(AsInt64());
+      PutInt64Cell(w, AsInt64());
       break;
     case ValueType::kDouble:
-      w->PutDouble(AsDouble());
+      PutDoubleCell(w, AsDouble());
       break;
     case ValueType::kString:
-      w->PutString(AsString());
+      PutStringCell(w, AsString());
       break;
   }
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/serialize.h"
@@ -18,6 +19,27 @@ enum class ValueType : uint8_t {
 };
 
 std::string_view ValueTypeToString(ValueType t);
+
+// Wire encoding of one cell: the ValueType tag byte, then the payload
+// (zigzag varint, 8-byte IEEE double, or length-prefixed bytes). These are
+// the only cell writers: Value::Serialize and the column-to-wire
+// projection encoder (data/column_table.h) both write through them, so
+// the two paths cannot drift apart byte-wise.
+inline void PutNullCell(Writer* w) {
+  w->PutU8(static_cast<uint8_t>(ValueType::kNull));
+}
+inline void PutInt64Cell(Writer* w, int64_t v) {
+  w->PutU8(static_cast<uint8_t>(ValueType::kInt64));
+  w->PutVarintSigned(v);
+}
+inline void PutDoubleCell(Writer* w, double v) {
+  w->PutU8(static_cast<uint8_t>(ValueType::kDouble));
+  w->PutDouble(v);
+}
+inline void PutStringCell(Writer* w, std::string_view v) {
+  w->PutU8(static_cast<uint8_t>(ValueType::kString));
+  w->PutString(v);
+}
 
 // A single cell. Small tagged union; copyable. NULL compares equal to NULL
 // and sorts before every non-null value (SQL-style total order for grouping).

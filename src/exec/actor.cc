@@ -45,8 +45,8 @@ void ContributorActor::Start() {
 
 void ContributorActor::Contribute() {
   // Qualification is a typed scan over the device's zero-copy view into
-  // the shared population store; rows materialize only at the wire
-  // boundary (per-vertical-group projections).
+  // the shared population store; the qualifying rows go to the wire
+  // straight from its columns (per-vertical-group projections).
   const data::TableView& local = dev()->local_view();
   if (local.empty()) return;
 
@@ -61,20 +61,20 @@ void ContributorActor::Contribute() {
 
   uint32_t partition = data::PartitionForKey(
       config_.contributor_key, static_cast<uint32_t>(config_.builders.size()));
+  // An individual contributor sends once (re-solicitations aside), so its
+  // encoder lives for the send only: a crowd of idle contributor actors
+  // holds no encode buffers.
+  ContributionEncoder encoder(config_.query_id);
+  encoder.Bind(local.schema(), config_.vgroup_columns);
   for (size_t vg = 0; vg < config_.vgroup_columns.size(); ++vg) {
-    auto projected = qualified->ProjectToTable(config_.vgroup_columns[vg]);
-    if (!projected.ok()) {
+    if (!encoder.resolved(vg)) {
       EDGELET_LOG(kWarning) << "contributor " << dev()->id()
                             << " projection error: "
-                            << projected.status().ToString();
+                            << encoder.error().ToString();
       return;
     }
-    ContributionMsg msg;
-    msg.query_id = config_.query_id;
-    msg.contributor_key = config_.contributor_key;
-    msg.rows = std::move(*projected);
     SealAndSendAll(config_.builders[partition][vg], kContribution,
-                   msg.Encode());
+                   encoder.Encode(vg, config_.contributor_key, *qualified));
   }
   contributed_ = true;
   if (config_.trace != nullptr) {
@@ -102,14 +102,12 @@ void ContributorActor::OnResolicit(const net::Message& msg) {
   if (local.empty()) return;
   auto qualified = query::ApplyPredicates(local, config_.predicates);
   if (!qualified.ok() || qualified->empty()) return;
-  auto projected =
-      qualified->ProjectToTable(config_.vgroup_columns[req->vgroup]);
-  if (!projected.ok()) return;
-  ContributionMsg out;
-  out.query_id = config_.query_id;
-  out.contributor_key = config_.contributor_key;
-  out.rows = std::move(*projected);
-  SealAndSend(req->builder, kContribution, out.Encode());
+  ContributionEncoder encoder(config_.query_id);
+  encoder.Bind(local.schema(), config_.vgroup_columns);
+  if (!encoder.resolved(req->vgroup)) return;
+  SealAndSend(req->builder, kContribution,
+              encoder.Encode(req->vgroup, config_.contributor_key,
+                             *qualified));
   if (config_.trace != nullptr) {
     config_.trace->Record(now(), TraceEventKind::kContributionSent,
                           dev()->id(), static_cast<int>(req->partition),

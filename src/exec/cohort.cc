@@ -9,7 +9,9 @@ namespace edgelet::exec {
 
 CohortActor::CohortActor(net::Transport* net, device::Device* dev,
                          Config config)
-    : ActorBase(net, dev, config.query_id), config_(std::move(config)) {}
+    : ActorBase(net, dev, config.query_id),
+      config_(std::move(config)),
+      encoder_(config_.query_id) {}
 
 void CohortActor::Start() {
   if (config_.members.empty()) return;
@@ -56,38 +58,34 @@ bool CohortActor::EnsureCompiledPredicates() {
     return false;
   }
   compiled_ = std::move(*compiled);
+  encoder_.Bind(local.schema(), config_.vgroup_columns);
   return true;
 }
 
 bool CohortActor::ContributeMember(const Member& member) {
   // The member's row lives in the shared population store; qualification
-  // is a compiled-predicate probe and only qualifying rows materialize —
-  // as the per-vertical-group wire projections.
+  // is a compiled-predicate probe, and a qualifying row goes to the wire
+  // straight from the store's columns, one projection per vertical group.
   const data::TableView& local = dev()->local_view();
   if (member.row >= local.num_rows()) return false;
   if (!EnsureCompiledPredicates()) return false;
-  if (!query::MatchesRow(local.store(), local.StoreRow(member.row),
-                         compiled_)) {
+  const size_t store_row = local.StoreRow(member.row);
+  if (!query::MatchesRow(local.store(), store_row, compiled_)) {
     return false;  // the member's data does not qualify
   }
-  data::TableView one = local.Slice(member.row, 1);
 
   uint32_t partition = data::PartitionForKey(
       member.contributor_key, static_cast<uint32_t>(config_.builders.size()));
   for (size_t vg = 0; vg < config_.vgroup_columns.size(); ++vg) {
-    auto projected = one.ProjectToTable(config_.vgroup_columns[vg]);
-    if (!projected.ok()) {
+    if (!encoder_.resolved(vg)) {
       EDGELET_LOG(kWarning) << "cohort " << dev()->id() << " member "
                             << member.contributor_key << " projection error: "
-                            << projected.status().ToString();
+                            << encoder_.error().ToString();
       return false;
     }
-    ContributionMsg msg;
-    msg.query_id = config_.query_id;
-    msg.contributor_key = member.contributor_key;
-    msg.rows = std::move(*projected);
     SealAndSendAll(config_.builders[partition][vg], kContribution,
-                   msg.Encode());
+                   encoder_.EncodeRow(vg, member.contributor_key,
+                                      local.store(), store_row));
   }
   if (config_.trace != nullptr) {
     config_.trace->Record(now(), TraceEventKind::kContributionSent,
@@ -116,18 +114,12 @@ void CohortActor::OnResolicit(const net::Message& msg) {
     if (partition != req->partition) continue;
     if (member.row >= local.num_rows()) continue;
     if (!EnsureCompiledPredicates()) continue;
-    if (!query::MatchesRow(local.store(), local.StoreRow(member.row),
-                           compiled_)) {
-      continue;
-    }
-    auto projected = local.Slice(member.row, 1)
-                         .ProjectToTable(config_.vgroup_columns[req->vgroup]);
-    if (!projected.ok()) continue;
-    ContributionMsg out;
-    out.query_id = config_.query_id;
-    out.contributor_key = member.contributor_key;
-    out.rows = std::move(*projected);
-    SealAndSend(req->builder, kContribution, out.Encode());
+    const size_t store_row = local.StoreRow(member.row);
+    if (!query::MatchesRow(local.store(), store_row, compiled_)) continue;
+    if (!encoder_.resolved(req->vgroup)) continue;
+    SealAndSend(req->builder, kContribution,
+                encoder_.EncodeRow(req->vgroup, member.contributor_key,
+                                   local.store(), store_row));
     if (config_.trace != nullptr) {
       config_.trace->Record(now(), TraceEventKind::kContributionSent,
                             dev()->id(), static_cast<int>(req->partition),

@@ -80,6 +80,9 @@ class CohortActor : public ActorBase {
   std::vector<query::CompiledPredicate> compiled_;
   bool compiled_ready_ = false;
   bool compile_failed_ = false;
+  // Members' rows go to the wire straight from the shared store through
+  // projections resolved once per cohort.
+  ContributionEncoder encoder_;
 };
 
 }  // namespace edgelet::exec

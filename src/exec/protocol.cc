@@ -4,10 +4,15 @@ namespace edgelet::exec {
 
 Bytes ContributionMsg::Encode() const {
   Writer w;
-  w.PutU64(query_id);
-  w.PutU64(contributor_key);
+  EncodeHeader(query_id, contributor_key, &w);
   rows.Serialize(&w);
   return w.Take();
+}
+
+void ContributionMsg::EncodeHeader(uint64_t query_id,
+                                   uint64_t contributor_key, Writer* w) {
+  w->PutU64(query_id);
+  w->PutU64(contributor_key);
 }
 
 Result<ContributionMsg> ContributionMsg::Decode(const Bytes& b) {
@@ -25,14 +30,52 @@ Result<ContributionMsg> ContributionMsg::Decode(const Bytes& b) {
   return m;
 }
 
+void ContributionEncoder::Bind(
+    const data::Schema& schema,
+    const std::vector<std::vector<std::string>>& vgroup_columns) {
+  projections_.reserve(vgroup_columns.size());
+  for (const auto& columns : vgroup_columns) {
+    auto enc = data::ProjectionEncoder::Make(schema, columns);
+    if (!enc.ok()) {
+      error_ = enc.status();
+      return;
+    }
+    projections_.push_back(std::move(*enc));
+  }
+}
+
+const Bytes& ContributionEncoder::Encode(size_t vg, uint64_t contributor_key,
+                                         const data::TableView& rows) {
+  writer_.Reset();
+  ContributionMsg::EncodeHeader(query_id_, contributor_key, &writer_);
+  projections_[vg].EncodeRows(rows, &writer_);
+  return writer_.data();
+}
+
+const Bytes& ContributionEncoder::EncodeRow(size_t vg,
+                                            uint64_t contributor_key,
+                                            const data::ColumnTable& store,
+                                            size_t store_row) {
+  writer_.Reset();
+  ContributionMsg::EncodeHeader(query_id_, contributor_key, &writer_);
+  projections_[vg].EncodeRow(store, store_row, &writer_);
+  return writer_.data();
+}
+
 Bytes SnapshotSliceMsg::Encode() const {
   Writer w;
-  w.PutU64(query_id);
-  w.PutU32(partition);
-  w.PutU32(vgroup);
-  w.PutU32(epoch);
-  rows.Serialize(&w);
+  EncodeTo(query_id, partition, vgroup, epoch, rows, &w);
   return w.Take();
+}
+
+void SnapshotSliceMsg::EncodeTo(uint64_t query_id, uint32_t partition,
+                                uint32_t vgroup, uint32_t epoch,
+                                const data::Table& rows, Writer* w) {
+  w->PutU64(query_id);
+  w->PutU32(partition);
+  w->PutU32(vgroup);
+  w->PutU32(epoch);
+  rows.Serialize(w);
 }
 
 Result<SnapshotSliceMsg> SnapshotSliceMsg::Decode(const Bytes& b) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "data/column_table.h"
 #include "data/table.h"
 #include "ml/kmeans.h"
 #include "net/message.h"
@@ -38,7 +39,45 @@ struct ContributionMsg {
   data::Table rows;
 
   Bytes Encode() const;
+  // The fields Encode() writes ahead of the rows (shared with
+  // ContributionEncoder).
+  static void EncodeHeader(uint64_t query_id, uint64_t contributor_key,
+                           Writer* w);
   static Result<ContributionMsg> Decode(const Bytes& b);
+};
+
+// Column-to-wire contribution encoding: the send path of ContributorActor
+// (one encoder per send) and CohortActor (one per cohort, reused for every
+// member). Each vertical group's projection is resolved against the
+// population schema once (Bind), and every contribution is written
+// straight from the shared ColumnTable into one reused buffer. The bytes
+// equal
+//   ContributionMsg{query_id, key, rows.ProjectToTable(columns)}.Encode()
+// — same wire format, same sizes — without building the Table.
+class ContributionEncoder {
+ public:
+  explicit ContributionEncoder(uint64_t query_id) : query_id_(query_id) {}
+
+  // Resolves the per-group projections; call once, before encoding.
+  // Groups resolve in order and stop at the first failing one.
+  void Bind(const data::Schema& schema,
+            const std::vector<std::vector<std::string>>& vgroup_columns);
+  // Whether group `vg` resolved; if not, error() says why.
+  bool resolved(size_t vg) const { return vg < projections_.size(); }
+  const Status& error() const { return error_; }
+
+  // The contribution of every row of `rows` to resolved group `vg`, or of
+  // one store row. The buffer is overwritten by the next call.
+  const Bytes& Encode(size_t vg, uint64_t contributor_key,
+                      const data::TableView& rows);
+  const Bytes& EncodeRow(size_t vg, uint64_t contributor_key,
+                         const data::ColumnTable& store, size_t store_row);
+
+ private:
+  uint64_t query_id_;
+  std::vector<data::ProjectionEncoder> projections_;
+  Status error_;
+  Writer writer_;
 };
 
 // A vertical slice of one snapshot partition.
@@ -52,6 +91,10 @@ struct SnapshotSliceMsg {
   data::Table rows;
 
   Bytes Encode() const;
+  // Encode()'s bytes for a slice whose rows live elsewhere (the builder's
+  // buffer), without copying them into a message first.
+  static void EncodeTo(uint64_t query_id, uint32_t partition, uint32_t vgroup,
+                       uint32_t epoch, const data::Table& rows, Writer* w);
   static Result<SnapshotSliceMsg> Decode(const Bytes& b);
 };
 

@@ -1,5 +1,7 @@
 #include "exec/snapshot_builder.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace edgelet::exec {
@@ -32,7 +34,7 @@ void SnapshotBuilderActor::Start() {
       buffer_ = data::Table();
       have_schema_ = complete_ = emitted_ = false;
       included_.clear();
-      seen_contributors_.clear();
+      seen_contributors_.Clear();
     }
   }
   replica_->Start();
@@ -60,8 +62,14 @@ Bytes SnapshotBuilderActor::SerializeState() const {
   buffer_.Serialize(&w);
   w.PutVarint(included_.size());
   for (uint64_t k : included_) w.PutU64(k);
-  w.PutVarint(seen_contributors_.size());
-  for (uint64_t k : seen_contributors_) w.PutU64(k);
+  // Ascending, so checkpoint bytes do not depend on the hash table's
+  // slot layout.
+  std::vector<uint64_t> seen;
+  seen.reserve(seen_contributors_.size());
+  seen_contributors_.ForEach([&seen](uint64_t k) { seen.push_back(k); });
+  std::sort(seen.begin(), seen.end());
+  w.PutVarint(seen.size());
+  for (uint64_t k : seen) w.PutU64(k);
   return w.Take();
 }
 
@@ -84,13 +92,13 @@ Status SnapshotBuilderActor::RestoreState(const Bytes& state) {
     if (!k.ok()) return k.status();
     included.push_back(*k);
   }
-  std::set<uint64_t> seen;
+  FlatSet64 seen;
   auto ns = r.GetVarint();
   if (!ns.ok()) return ns.status();
   for (uint64_t i = 0; i < *ns; ++i) {
     auto k = r.GetU64();
     if (!k.ok()) return k.status();
-    seen.insert(*k);
+    seen.Insert(*k);
   }
   have_schema_ = *have_schema;
   complete_ = *complete;
@@ -130,7 +138,7 @@ void SnapshotBuilderActor::OnContribution(const net::Message& msg) {
   }
   // Idempotence: a contributor that re-sends (store-and-forward replays)
   // is only counted once.
-  if (!seen_contributors_.insert(contribution->contributor_key).second) {
+  if (!seen_contributors_.Insert(contribution->contributor_key)) {
     return;
   }
   if (!have_schema_) {
@@ -191,13 +199,12 @@ void SnapshotBuilderActor::EmitSlice() {
     config_.trace->Record(now(), TraceEventKind::kSliceEmitted,
                           dev()->id(), config_.partition, config_.vgroup);
   }
-  SnapshotSliceMsg msg;
-  msg.query_id = config_.query_id;
-  msg.partition = config_.partition;
-  msg.vgroup = config_.vgroup;
-  msg.epoch = emit_epoch();
-  msg.rows = buffer_;
-  SealAndSendAll(config_.computers, kSnapshotSlice, msg.Encode());
+  // Serialized straight from the buffer (no Table copy) and dropped after
+  // the send: resends re-encode rather than pin a second copy.
+  Writer w;
+  SnapshotSliceMsg::EncodeTo(config_.query_id, config_.partition,
+                             config_.vgroup, emit_epoch(), buffer_, &w);
+  SealAndSendAll(config_.computers, kSnapshotSlice, w.data());
   MaybeCheckpoint(/*critical=*/true);
 }
 

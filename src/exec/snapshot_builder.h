@@ -2,7 +2,8 @@
 #define EDGELET_EXEC_SNAPSHOT_BUILDER_H_
 
 #include <memory>
-#include <set>
+
+#include "common/flat_map.h"
 
 #include "exec/actor.h"
 #include "exec/replica.h"
@@ -90,7 +91,10 @@ class SnapshotBuilderActor : public ActorBase {
   bool complete_ = false;
   bool emitted_ = false;
   std::vector<uint64_t> included_;
-  std::set<uint64_t> seen_contributors_;
+  // Contributor keys already counted (idempotence under re-sends). Flat
+  // open addressing: one probe per contribution instead of a tree walk.
+  // Key 0 is a legal contributor id.
+  FlatSet64 seen_contributors_;
 };
 
 }  // namespace edgelet::exec

@@ -295,6 +295,10 @@ Bytes Network::AcquirePayloadBuffer() {
 }
 
 void Network::RecyclePayloadBuffer(Bytes&& buf) {
+  if (buf.capacity() > kMaxPooledBufferBytes) {
+    Bytes().swap(buf);  // freed now, not parked in the pool
+    return;
+  }
   if (buf.capacity() == 0) return;
   ShardState& here = shard_[engine_->current_shard()];
   if (here.payload_pool.size() >= kMaxPooledBuffers) return;

@@ -189,7 +189,9 @@ class Network {
   // seals into an acquired buffer, and the network returns the buffer to
   // the pool once the message is consumed (delivered, dropped, or expired).
   // In steady state no per-message heap allocation happens. Buffers keep
-  // their capacity; the pool is bounded so bursts do not pin memory.
+  // their capacity; the pool is bounded in count so bursts do not pin
+  // memory, and in buffer size so one large payload (a snapshot slice)
+  // is not handed out again for a small one and kept in flight.
   // Pools are per shard: a buffer freed on a shard is reused by it.
   Bytes AcquirePayloadBuffer();
   void RecyclePayloadBuffer(Bytes&& buf);
@@ -228,6 +230,9 @@ class Network {
   NetworkStats& stats_here() { return shard_[engine_->current_shard()].stats; }
 
   static constexpr size_t kMaxPooledBuffers = 1024;
+  // Larger buffers are freed rather than pooled. Contributions, pings and
+  // partials fit; slices and result tables are rarer and allocate.
+  static constexpr size_t kMaxPooledBufferBytes = 4096;
 
   SimEngine* engine_;
   NetworkConfig config_;

@@ -33,7 +33,7 @@ uint64_t LocalHandle(size_t shard, ShardQueue::Ticket t) {
 // Remote handle: [63]=1 [62:56]=dest shard [55:48]=source shard
 // [47:0]=per-(source,dest) sequence. The handle doubles as the key in the
 // destination shard's remote map, so the uniqueness argument is the bit
-// layout itself — and bit 63 is why key 0 can be FlatMap64's empty slot.
+// layout itself.
 uint64_t RemoteHandle(size_t dest, size_t src, uint64_t rseq) {
   return kRemoteBit | (static_cast<uint64_t>(dest) << 56) |
          (static_cast<uint64_t>(src) << 48) |

@@ -90,7 +90,7 @@ void Enclave::TamperCode(const std::string& new_identity) {
   // but carries the tampered measurement.
   report_ = authority_->Attest(id_, measurement_);
   provisioned_ = false;
-  pairwise_cache_.clear();
+  pairwise_cache_.Clear();
 }
 
 Status Enclave::Provision() {
@@ -98,13 +98,14 @@ Status Enclave::Provision() {
   if (!key.ok()) return key.status();
   group_key_ = *key;
   provisioned_ = true;
-  pairwise_cache_.clear();
+  pairwise_cache_.Clear();
   return Status::OK();
 }
 
 const crypto::Key256& Enclave::PairwiseKey(uint64_t peer_id) const {
-  auto it = pairwise_cache_.find(peer_id);
-  if (it != pairwise_cache_.end()) return it->second;
+  if (const crypto::Key256* slot = pairwise_cache_.Find(peer_id)) {
+    return *slot;
+  }
   uint64_t lo = std::min(id_, peer_id);
   uint64_t hi = std::max(id_, peer_id);
   Writer w;
@@ -114,7 +115,7 @@ const crypto::Key256& Enclave::PairwiseKey(uint64_t peer_id) const {
   crypto::Digest256 d = crypto::HmacSha256(gk, w.Take());
   crypto::Key256 key{};
   std::memcpy(key.data(), d.data(), key.size());
-  return pairwise_cache_.emplace(peer_id, key).first->second;
+  return *pairwise_cache_.TryInsert(peer_id, key).first;
 }
 
 Status Enclave::SealForInto(uint64_t peer_id, uint64_t seq,

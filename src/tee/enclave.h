@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "common/bytes.h"
+#include "common/flat_map.h"
 #include "common/status.h"
 #include "crypto/aead.h"
 #include "crypto/sha256.h"
@@ -123,8 +123,12 @@ class Enclave {
 
  private:
   // HKDF-style derivation is ~1.5µs per call; the derived key for a peer is
-  // immutable for the lifetime of a group key, so it is cached. The cache is
-  // invalidated whenever the group key can change (Provision, TamperCode).
+  // immutable for the lifetime of a group key, so it is cached in a key
+  // slot: a flat open-addressing table holding the 32-byte keys inline, so
+  // a warm lookup on every seal/open is one probe, not a hash-node chase.
+  // The slots are invalidated whenever the group key can change
+  // (Provision, TamperCode). The returned reference is valid until the
+  // next PairwiseKey call.
   const crypto::Key256& PairwiseKey(uint64_t peer_id) const;
 
   uint64_t id_;
@@ -139,7 +143,7 @@ class Enclave {
   uint64_t storage_seq_ = 0;
   uint64_t cleartext_tuples_ = 0;
   uint64_t cleartext_cells_ = 0;
-  mutable std::unordered_map<uint64_t, crypto::Key256> pairwise_cache_;
+  mutable FlatMap64<crypto::Key256> pairwise_cache_;
 };
 
 }  // namespace edgelet::tee

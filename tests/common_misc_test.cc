@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 
+#include "common/flat_map.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -42,6 +44,58 @@ TEST(HashTest, HashCombineOrderSensitive) {
 }
 
 // --- sim time ------------------------------------------------------------------
+
+// --- flat open-addressing map ------------------------------------------------
+
+// Random insert/overwrite/erase traffic, key 0 included, against std::map:
+// every key stays reachable through growth rehashes and backward-shift
+// erases, and key 0 (the arrays' empty marker) behaves like any other key.
+TEST(FlatMap64Test, MatchesOrderedMapUnderChurn) {
+  FlatMap64<uint64_t> flat;
+  std::map<uint64_t, uint64_t> ref;
+  Rng rng(17);
+  for (int step = 0; step < 20000; ++step) {
+    // Small key range: frequent collisions, overwrites and key-0 hits.
+    const uint64_t key = rng.NextBelow(512);
+    const uint64_t op = rng.NextBelow(4);
+    if (op < 2) {
+      flat.Insert(key, step);
+      ref[key] = step;
+    } else if (op == 2) {
+      uint64_t got = 0;
+      const bool erased = flat.Erase(key, &got);
+      auto it = ref.find(key);
+      ASSERT_EQ(erased, it != ref.end()) << "step " << step;
+      if (erased) {
+        EXPECT_EQ(got, it->second);
+        ref.erase(it);
+      }
+    } else {
+      const uint64_t* v = flat.Find(key);
+      auto it = ref.find(key);
+      ASSERT_EQ(v != nullptr, it != ref.end()) << "step " << step;
+      if (v != nullptr) {
+        EXPECT_EQ(*v, it->second);
+      }
+    }
+    ASSERT_EQ(flat.size(), ref.size());
+  }
+  std::map<uint64_t, uint64_t> seen;
+  flat.ForEach([&seen](uint64_t k, uint64_t v) { seen[k] = v; });
+  EXPECT_EQ(seen, ref);
+  flat.Clear();
+  EXPECT_EQ(flat.size(), 0u);
+  EXPECT_EQ(flat.Find(0), nullptr);
+}
+
+TEST(FlatSet64Test, InsertReportsNewKeysOnly) {
+  FlatSet64 set;
+  EXPECT_TRUE(set.Insert(0));
+  EXPECT_FALSE(set.Insert(0));
+  EXPECT_TRUE(set.Insert(~uint64_t{0}));
+  EXPECT_FALSE(set.Insert(~uint64_t{0}));
+  EXPECT_EQ(set.size(), 2u);
+}
 
 TEST(SimTimeTest, Formatting) {
   EXPECT_EQ(FormatSimTime(500), "500us");

@@ -56,11 +56,20 @@ query::Query ClusterQuery(uint64_t snapshot_cardinality, uint64_t query_id) {
   return q;
 }
 
+// What one pinned execution leaves behind: its report fingerprint and the
+// engine's executed-event count. The count is not part of the fingerprint
+// but is just as deterministic, so it gates the cost of a run exactly: a
+// change that adds or drops events fails here even when results agree.
+struct PinnedRun {
+  uint64_t fingerprint = 0;
+  size_t events = 0;
+};
+
 // One fixed-config execution, fingerprinted. Every knob that feeds the
 // rng or the plan is pinned so the fingerprint is a pure function of the
 // engine's behavior.
-uint64_t RunFingerprint(size_t contributors, size_t cohort, size_t shards,
-                        bool kmeans, Strategy strategy) {
+PinnedRun PinnedExecution(size_t contributors, size_t cohort, size_t shards,
+                          bool kmeans, Strategy strategy) {
   FrameworkConfig cfg;
   cfg.fleet.num_contributors = contributors;
   cfg.fleet.contributor_cohort_size = cohort;
@@ -77,7 +86,7 @@ uint64_t RunFingerprint(size_t contributors, size_t cohort, size_t shards,
   privacy.max_tuples_per_edgelet = (c_card + 4) / 5;
   auto d = fw.Plan(q, privacy, {0.05, 0.99}, strategy);
   EXPECT_TRUE(d.ok()) << d.status().ToString();
-  if (!d.ok()) return 0;
+  if (!d.ok()) return {};
   exec::ExecutionConfig ec;
   ec.collection_window = 2 * kMinute;
   ec.deadline = 10 * kMinute;
@@ -85,33 +94,43 @@ uint64_t RunFingerprint(size_t contributors, size_t cohort, size_t shards,
   ec.seed = 31;
   auto report = fw.Execute(*d, ec);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
-  if (!report.ok()) return 0;
+  if (!report.ok()) return {};
   EXPECT_TRUE(report->success);
-  return exec::ReportFingerprint(*report);
+  return {exec::ReportFingerprint(*report), fw.sim()->events_executed()};
 }
 
-// Fingerprints recorded on the pre-columnar row-store engine.
+// Fingerprints recorded on the pre-columnar row-store engine; event
+// counts recorded on the engine before the column-to-wire contribution
+// encoder (a pure speed change that must not move either).
 TEST(ColumnarInvarianceTest, GroupingSetsOvercollectionFingerprint) {
-  EXPECT_EQ(RunFingerprint(240, 1, 1, false, Strategy::kOvercollection),
-            16721959199358941153ull);
+  PinnedRun run =
+      PinnedExecution(240, 1, 1, false, Strategy::kOvercollection);
+  EXPECT_EQ(run.fingerprint, 16721959199358941153ull);
+  EXPECT_EQ(run.events, 584u);
 }
 
 TEST(ColumnarInvarianceTest, GroupingSetsBackupFingerprint) {
-  EXPECT_EQ(RunFingerprint(240, 1, 1, false, Strategy::kBackup),
-            16895485328694493416ull);
+  PinnedRun run = PinnedExecution(240, 1, 1, false, Strategy::kBackup);
+  EXPECT_EQ(run.fingerprint, 16895485328694493416ull);
+  EXPECT_EQ(run.events, 7611u);
 }
 
 TEST(ColumnarInvarianceTest, KMeansOvercollectionFingerprint) {
-  EXPECT_EQ(RunFingerprint(240, 1, 1, true, Strategy::kOvercollection),
-            11877561214239888882ull);
+  PinnedRun run =
+      PinnedExecution(240, 1, 1, true, Strategy::kOvercollection);
+  EXPECT_EQ(run.fingerprint, 11877561214239888882ull);
+  EXPECT_EQ(run.events, 1094u);
 }
 
 TEST(ColumnarInvarianceTest, CohortFingerprintShardInvariant) {
-  const uint64_t serial =
-      RunFingerprint(2000, 128, 1, false, Strategy::kOvercollection);
-  EXPECT_EQ(serial, 262003147949798397ull);
-  EXPECT_EQ(RunFingerprint(2000, 128, 2, false, Strategy::kOvercollection),
-            serial);
+  PinnedRun serial =
+      PinnedExecution(2000, 128, 1, false, Strategy::kOvercollection);
+  EXPECT_EQ(serial.fingerprint, 262003147949798397ull);
+  EXPECT_EQ(serial.events, 3875u);
+  PinnedRun sharded =
+      PinnedExecution(2000, 128, 2, false, Strategy::kOvercollection);
+  EXPECT_EQ(sharded.fingerprint, serial.fingerprint);
+  EXPECT_EQ(sharded.events, serial.events);
 }
 
 // The compat row path (DistributeData(Table)) must hand devices exactly

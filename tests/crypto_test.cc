@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/bytes.h"
@@ -439,6 +440,63 @@ TEST(AeadTest, RoundTripAllLengthsThroughTwoBlocks) {
     auto opened = AeadOpen(key, nonce, aad, sealed);
     ASSERT_TRUE(opened.ok()) << "len " << len;
     EXPECT_EQ(*opened, plaintext) << "len " << len;
+  }
+}
+
+// RFC 8439 §2.8 spelled out from the primitives, one separate step each:
+// one-time key = ChaCha20Block(counter 0), ciphertext = ChaCha20Xor from
+// counter 1, tag = Poly1305 over the padded aad/ciphertext/lengths.
+Bytes ReferenceSeal(const Key256& key, const Nonce96& nonce, const Bytes& aad,
+                    const Bytes& plaintext) {
+  std::array<uint8_t, 64> block0 = ChaCha20Block(key, nonce, 0);
+  std::array<uint8_t, 32> otk;
+  std::copy(block0.begin(), block0.begin() + 32, otk.begin());
+  Bytes ct = ChaCha20Xor(key, nonce, 1, plaintext);
+  Bytes mac_data = aad;
+  mac_data.resize((mac_data.size() + 15) / 16 * 16, 0);
+  mac_data.insert(mac_data.end(), ct.begin(), ct.end());
+  mac_data.resize((mac_data.size() + 15) / 16 * 16, 0);
+  for (uint64_t len : {uint64_t{aad.size()}, uint64_t{ct.size()}}) {
+    for (int i = 0; i < 8; ++i) {
+      mac_data.push_back(static_cast<uint8_t>(len >> (8 * i)));
+    }
+  }
+  Tag128 tag = Poly1305Mac(otk, mac_data);
+  ct.insert(ct.end(), tag.begin(), tag.end());
+  return ct;
+}
+
+TEST(AeadTest, SealIntoMatchesReferenceAcrossBatchEdges) {
+  // The one-time key and payload blocks 1-3 share one 4-wide batch; longer
+  // payloads continue at counter 4 in the 8-/4-wide loops. Lengths 0..600
+  // cross the 192-byte batch edge and the 256/512-byte loop edges.
+  Key256 key = TestKey();
+  Bytes payload(600);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 13 + 5);
+  }
+  Bytes sealed, opened;
+  for (size_t aad_len : {0u, 1u, 16u, 17u, 33u}) {
+    Bytes aad(aad_len);
+    for (size_t i = 0; i < aad_len; ++i) aad[i] = static_cast<uint8_t>(~i);
+    for (size_t len = 0; len <= payload.size(); ++len) {
+      Nonce96 nonce = NonceFromSequence(aad_len, len);
+      Bytes plaintext(payload.begin(), payload.begin() + len);
+      AeadSealInto(key, nonce, aad.data(), aad.size(), plaintext.data(), len,
+                   &sealed);
+      ASSERT_EQ(sealed, ReferenceSeal(key, nonce, aad, plaintext))
+          << "aad " << aad_len << " len " << len;
+      ASSERT_TRUE(AeadOpenInto(key, nonce, aad.data(), aad.size(),
+                               sealed.data(), sealed.size(), &opened)
+                      .ok())
+          << "aad " << aad_len << " len " << len;
+      ASSERT_EQ(opened, plaintext) << "aad " << aad_len << " len " << len;
+      sealed[len] ^= 0x01;  // first tag byte
+      EXPECT_FALSE(AeadOpenInto(key, nonce, aad.data(), aad.size(),
+                                sealed.data(), sealed.size(), &opened)
+                       .ok())
+          << "aad " << aad_len << " len " << len;
+    }
   }
 }
 

@@ -192,6 +192,52 @@ TEST(TableTest, DeserializeTruncatedFails) {
   EXPECT_FALSE(Table::Deserialize(&r).ok());
 }
 
+// Counts are checked against the bytes that remain before anything is
+// reserved: a 9-byte payload claiming 2^60 columns used to throw
+// std::length_error out of reserve().
+TEST(TableTest, DeserializeRejectsCountsBeyondInput) {
+  Writer huge_schema;
+  huge_schema.PutVarint(uint64_t{1} << 60);
+  ASSERT_EQ(huge_schema.size(), 9u);
+  {
+    Reader r(huge_schema.data());
+    EXPECT_EQ(Schema::Deserialize(&r).status().code(),
+              StatusCode::kCorruption);
+  }
+  {
+    Reader r(huge_schema.data());
+    EXPECT_EQ(Table::Deserialize(&r).status().code(),
+              StatusCode::kCorruption);
+  }
+
+  // A valid schema followed by a row count its cells cannot back.
+  Writer huge_rows;
+  TestSchema().Serialize(&huge_rows);
+  huge_rows.PutVarint(uint64_t{1} << 40);
+  huge_rows.PutU8(0);
+  Reader r(huge_rows.data());
+  EXPECT_EQ(Table::Deserialize(&r).status().code(), StatusCode::kCorruption);
+}
+
+// Rows of a zero-arity table cost no input bytes, so their count has a
+// fixed cap rather than a byte bound — but it does have one.
+TEST(TableTest, ZeroArityRowCountIsCapped) {
+  Table columnless{Schema()};
+  for (int i = 0; i < 3; ++i) columnless.AppendUnchecked({});
+  Writer ok;
+  columnless.Serialize(&ok);
+  Reader ok_reader(ok.data());
+  auto back = Table::Deserialize(&ok_reader);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->num_rows(), 3u);
+
+  Writer hostile;
+  Schema().Serialize(&hostile);
+  hostile.PutVarint(Table::kMaxColumnlessRows + 1);
+  Reader r(hostile.data());
+  EXPECT_EQ(Table::Deserialize(&r).status().code(), StatusCode::kCorruption);
+}
+
 // --- CSV ----------------------------------------------------------------------
 
 TEST(CsvTest, RoundTrip) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
+#include "common/hash.h"
 #include "exec/combiner.h"
 #include "exec/computer.h"
 #include "exec/snapshot_builder.h"
@@ -166,6 +169,106 @@ TEST_F(ActorTest, SnapshotBuilderDeduplicatesContributors) {
   sim_.RunUntil(kMinute);
   EXPECT_FALSE(sb.snapshot_complete());
   EXPECT_EQ(sb.tuples_collected(), 1u);
+}
+
+// Contributor key 0 is a legal id: the dedup set must not confuse it with
+// an empty slot, and it must stay rejected across a checkpoint round trip.
+TEST_F(ActorTest, SnapshotBuilderDedupSurvivesRestore) {
+  device::Device* sb_dev = NewDevice();
+  device::Device* sink_dev = NewDevice();
+  SliceSink sink(&transport_, sink_dev);
+
+  SnapshotBuilderActor::Config cfg;
+  cfg.query_id = 1;
+  cfg.quota = 10;
+  cfg.computers = {sink_dev->id()};
+  cfg.columns = {"region", "bmi"};
+  cfg.replica = Singleton(sb_dev);
+  SnapshotBuilderActor sb(&transport_, sb_dev, cfg);
+  sb.Start();
+
+  device::Device* contributor = NewDevice();
+  const uint64_t keys[] = {9, 0, 3, 0, uint64_t{1} << 63, 3, 42, 0};
+  for (size_t i = 0; i < std::size(keys); ++i) {
+    SendContribution(contributor, sb_dev->id(), keys[i],
+                     i % 2 == 0 ? "north" : "south", 20.0 + i);
+  }
+  sim_.RunUntil(kMinute);
+  EXPECT_EQ(sb.tuples_collected(), 5u);
+  EXPECT_EQ(sb.included_contributors(),
+            (std::vector<uint64_t>{9, 0, 3, uint64_t{1} << 63, 42}));
+
+  // Checkpoint bytes pinned for this fixed sequence: the dedup keys are
+  // written ascending whatever set holds them in memory.
+  const Bytes state = sb.SerializeState();
+  EXPECT_EQ(state.size(), 180u);
+  EXPECT_EQ(Fnv1a64(state.data(), state.size()), 7263550118523955213ull);
+
+  // A builder resumed from the checkpoint rejects every key seen before
+  // it (0 included) and still accepts a new one.
+  device::Device* resumed_dev = NewDevice();
+  SnapshotBuilderActor::Config resumed_cfg = cfg;
+  resumed_cfg.replica = Singleton(resumed_dev);
+  resumed_cfg.resume_state = state;
+  SnapshotBuilderActor resumed(&transport_, resumed_dev, resumed_cfg);
+  resumed.Start();
+  EXPECT_EQ(resumed.SerializeState(), state);
+  for (uint64_t key : {uint64_t{0}, uint64_t{3}, uint64_t{1} << 63}) {
+    SendContribution(contributor, resumed_dev->id(), key, "east", 30.0);
+  }
+  sim_.RunUntil(2 * kMinute);
+  EXPECT_EQ(resumed.tuples_collected(), 5u);
+  SendContribution(contributor, resumed_dev->id(), 7, "east", 31.0);
+  sim_.RunUntil(3 * kMinute);
+  EXPECT_EQ(resumed.tuples_collected(), 6u);
+}
+
+// Sealed-glass model: a compromised contributor enclave seals well-
+// authenticated but hostile bytes. The builder must drop them (a decode
+// Status), not abort the process on a reserve() of an inflated count or
+// spin on a column-free table claiming billions of rows.
+TEST_F(ActorTest, SnapshotBuilderDropsHostileContribution) {
+  device::Device* sb_dev = NewDevice();
+  device::Device* sink_dev = NewDevice();
+  SliceSink sink(&transport_, sink_dev);
+
+  SnapshotBuilderActor::Config cfg;
+  cfg.query_id = 1;
+  cfg.quota = 2;
+  cfg.computers = {sink_dev->id()};
+  cfg.columns = {"region", "bmi"};
+  cfg.replica = Singleton(sb_dev);
+  SnapshotBuilderActor sb(&transport_, sb_dev, cfg);
+  sb.Start();
+
+  device::Device* hostile = NewDevice();
+  auto header = [](uint64_t key) {
+    Writer w;
+    ContributionMsg::EncodeHeader(1, key, &w);
+    return w;
+  };
+  Writer huge_schema = header(1);
+  huge_schema.PutVarint(uint64_t{1} << 60);  // column count
+  Writer huge_rows = header(2);
+  MiniSchema().Serialize(&huge_rows);
+  huge_rows.PutVarint(uint64_t{1} << 40);  // row count
+  Writer columnless = header(3);
+  data::Schema().Serialize(&columnless);
+  columnless.PutVarint(uint64_t{1} << 40);
+  for (const Writer* w : {&huge_schema, &huge_rows, &columnless}) {
+    ASSERT_TRUE(
+        hostile->SendSealed(sb_dev->id(), kContribution, w->data()).ok());
+  }
+  sim_.RunUntil(kMinute);
+  EXPECT_EQ(sb.tuples_collected(), 0u);
+
+  // The builder keeps working, and the hostile keys were not consumed.
+  SendContribution(hostile, sb_dev->id(), 1, "north", 20.0);
+  SendContribution(hostile, sb_dev->id(), 2, "south", 21.0);
+  sim_.RunUntil(2 * kMinute);
+  EXPECT_TRUE(sb.snapshot_complete());
+  ASSERT_EQ(sink.slices.size(), 1u);
+  EXPECT_EQ(sink.slices[0].rows.num_rows(), 2u);
 }
 
 TEST_F(ActorTest, SnapshotBuilderIgnoresWrongQuery) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <memory>
+
+#include "data/column_table.h"
 #include "data/generator.h"
 #include "exec/execution.h"
 
@@ -24,6 +29,106 @@ TEST(ProtocolTest, ContributionRoundTrip) {
   EXPECT_EQ(back->query_id, 42u);
   EXPECT_EQ(back->contributor_key, 1337u);
   EXPECT_EQ(back->rows, msg.rows);
+}
+
+// A store exercising every cell encoding: NULL in each column type,
+// negative / extreme / multi-byte-varint ints, empty and repeated
+// (dictionary-shared) strings, signed zero and non-finite doubles.
+std::shared_ptr<const data::ColumnTable> EncoderStore() {
+  using data::Value;
+  data::ColumnTable t(data::Schema({{"i", data::ValueType::kInt64},
+                                    {"d", data::ValueType::kDouble},
+                                    {"s", data::ValueType::kString},
+                                    {"j", data::ValueType::kInt64}}));
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<data::Tuple> rows = {
+      {Value(kMin), Value(-0.0), Value(""), Value(int64_t{0})},
+      {Value::Null(), Value(1.5), Value("north"), Value(int64_t{-1})},
+      {Value(kMax), Value::Null(), Value("north"), Value(int64_t{1} << 40)},
+      {Value(int64_t{-300}), Value(kNan), Value::Null(), Value::Null()},
+      {Value(int64_t{63}), Value(1e300), Value("south"), Value(int64_t{64})},
+      {Value::Null(), Value::Null(), Value::Null(), Value::Null()},
+      {Value(int64_t{-64}), Value(-INFINITY), Value(""), Value(int64_t{-65})},
+  };
+  for (const auto& row : rows) EXPECT_TRUE(t.AppendTuple(row).ok());
+  return std::make_shared<const data::ColumnTable>(std::move(t));
+}
+
+// The column-to-wire encoder must put exactly the bytes of the row path
+// (ContributionMsg over ProjectToTable) on the wire.
+Bytes ReferenceContribution(uint64_t query_id, uint64_t key,
+                            const data::TableView& rows,
+                            const std::vector<std::string>& columns) {
+  ContributionMsg msg;
+  msg.query_id = query_id;
+  msg.contributor_key = key;
+  auto projected = rows.ProjectToTable(columns);
+  EXPECT_TRUE(projected.ok());
+  msg.rows = std::move(*projected);
+  return msg.Encode();
+}
+
+TEST(ContributionEncoderTest, BytesEqualProjectedTableEncoding) {
+  auto store = EncoderStore();
+  const data::TableView all(store);
+  // Multi-group projections: reordered, single-column, full-width and a
+  // repeated column.
+  const std::vector<std::vector<std::string>> vgroups = {
+      {"s", "i"}, {"d"}, {"j", "s", "d", "i"}, {"i", "i"}};
+  ContributionEncoder enc(77);
+  enc.Bind(store->schema(), vgroups);
+  for (size_t vg = 0; vg < vgroups.size(); ++vg) {
+    ASSERT_TRUE(enc.resolved(vg));
+    for (size_t row = 0; row < store->num_rows(); ++row) {
+      const uint64_t key = row * 0x9E3779B97F4A7C15ull;
+      EXPECT_EQ(enc.EncodeRow(vg, key, *store, row),
+                ReferenceContribution(77, key, all.Slice(row, 1),
+                                      vgroups[vg]))
+          << "vgroup " << vg << " row " << row;
+    }
+    // Multi-row views: the whole store, a selection, an empty window.
+    EXPECT_EQ(enc.Encode(vg, 0, all),
+              ReferenceContribution(77, 0, all, vgroups[vg]));
+    const data::TableView sel = all.Select({5, 0, 3, 2});
+    EXPECT_EQ(enc.Encode(vg, ~uint64_t{0}, sel),
+              ReferenceContribution(77, ~uint64_t{0}, sel, vgroups[vg]));
+    const data::TableView none = all.Slice(3, 0);
+    EXPECT_EQ(enc.Encode(vg, 9, none),
+              ReferenceContribution(77, 9, none, vgroups[vg]));
+  }
+}
+
+TEST(ContributionEncoderTest, BytesEqualOnGeneratedPopulation) {
+  data::HealthDataParams params;
+  params.num_individuals = 200;
+  auto store = std::make_shared<const data::ColumnTable>(
+      data::GenerateHealthColumns(params, 11));
+  const data::TableView all(store);
+  const std::vector<std::vector<std::string>> vgroups = {
+      {"region", "sex", "bmi", "systolic_bp"},
+      {"age", "bmi", "systolic_bp", "chronic_count", "dependency"}};
+  ContributionEncoder enc(5);
+  enc.Bind(store->schema(), vgroups);
+  for (size_t vg = 0; vg < vgroups.size(); ++vg) {
+    ASSERT_TRUE(enc.resolved(vg));
+    for (size_t row = 0; row < store->num_rows(); ++row) {
+      ASSERT_EQ(enc.EncodeRow(vg, row, *store, row),
+                ReferenceContribution(5, row, all.Slice(row, 1),
+                                      vgroups[vg]));
+    }
+  }
+}
+
+TEST(ContributionEncoderTest, UnknownColumnStopsResolution) {
+  auto store = EncoderStore();
+  ContributionEncoder enc(1);
+  enc.Bind(store->schema(), {{"i"}, {"missing"}, {"d"}});
+  EXPECT_TRUE(enc.resolved(0));
+  EXPECT_FALSE(enc.resolved(1));
+  EXPECT_FALSE(enc.resolved(2));
+  EXPECT_TRUE(enc.error().IsNotFound());
 }
 
 TEST(ProtocolTest, SnapshotSliceRoundTrip) {

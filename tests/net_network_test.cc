@@ -299,6 +299,37 @@ TEST_F(NetworkTest, PayloadBuffersRecycleThroughThePool) {
   EXPECT_GE(again.capacity(), 64u);
 }
 
+// A large payload (a snapshot slice) must not come back from the pool for
+// a small one and stay in flight: buffers above the size cap are freed,
+// not recycled.
+TEST_F(NetworkTest, OversizedPayloadBuffersAreNotPooled) {
+  Network net = MakeNetwork();
+  RecordingNode a, b;
+  NodeId ida = net.Register(&a);
+  NodeId idb = net.Register(&b);
+
+  Message big = Make(ida, idb);
+  big.payload = net.AcquirePayloadBuffer();
+  big.payload.assign(1 << 20, 0x42);
+  net.Send(std::move(big));
+  sim_.Run();
+  ASSERT_EQ(b.received.size(), 1u);
+  Bytes next = net.AcquirePayloadBuffer();
+  EXPECT_EQ(next.capacity(), 0u);
+  EXPECT_EQ(net.stats().payload_buffers_reused, 0u);
+
+  // Recycled by hand, too: the oversized buffer is released, a small one
+  // is pooled as before.
+  Bytes oversized(64 * 1024, 0x1);
+  net.RecyclePayloadBuffer(std::move(oversized));
+  EXPECT_EQ(net.AcquirePayloadBuffer().capacity(), 0u);
+  Bytes small(160, 0x2);
+  net.RecyclePayloadBuffer(std::move(small));
+  Bytes reused = net.AcquirePayloadBuffer();
+  EXPECT_GE(reused.capacity(), 160u);
+  EXPECT_EQ(net.stats().payload_buffers_reused, 1u);
+}
+
 TEST_F(NetworkTest, MessageAadBindsHeader) {
   Message m1 = Make(1, 2, 7);
   m1.seq = 9;

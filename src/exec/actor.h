@@ -26,6 +26,18 @@ inline SimDuration ResendBackoffDelay(int resend_index, SimDuration base) {
   return SatMul((SimDuration{1} << shift) - 1, base);
 }
 
+// Schedules the `count` re-sends of one emission on `owner`'s timeline,
+// resend i at ResendBackoffDelay(i, base) from now, in ascending order.
+// `resend` runs at every firing and carries the site's own guard (defunct
+// actor, yielded leadership, superseded epoch or incarnation, ...).
+inline void ScheduleResends(net::Transport* net, net::NodeId owner, int count,
+                            SimDuration base,
+                            const std::function<void()>& resend) {
+  for (int i = 1; i <= count; ++i) {
+    net->ScheduleAfter(owner, ResendBackoffDelay(i, base), resend);
+  }
+}
+
 // One protocol role bound to one device for the duration of a query. The
 // binding is per query tag (= the query id): a device can host one actor
 // per concurrent query, and every message an actor sends carries its tag so
@@ -114,17 +126,20 @@ class ActorBase {
 };
 
 // Durable checkpoint sink injected into operator actors by the recovery
-// layer (exec/recovery.h): called with the actor's serialized volatile
-// state at state transitions, wrapped into a sealed store record by the
-// owning RecoveryHost. `epoch` is the emission epoch the state belongs
-// to; `critical` marks phase transitions (snapshot complete, output sent)
-// that must persist even when the cadence throttle would skip a routine
-// delta. Null (default) = recovery disabled: no call sites fire, zero
-// overhead, and — because checkpointing never schedules events, sends
-// messages, or draws from node streams — enabling it leaves message
-// timing, and therefore report fingerprints, untouched.
+// layer (exec/recovery.h): called at state transitions with a producer of
+// the actor's serialized volatile state, wrapped into a sealed store record
+// by the owning RecoveryHost. The sink decides first and calls `state`
+// only for a record it writes, so a throttled delta costs no
+// serialization. `epoch` is the emission epoch the state belongs to;
+// `critical` marks phase transitions (snapshot complete, output sent) that
+// must persist even when the cadence throttle would skip a routine delta.
+// Null (default) = recovery disabled: no call sites fire, zero overhead,
+// and — because checkpointing never schedules events, sends messages, or
+// draws from node streams — enabling it leaves message timing, and
+// therefore report fingerprints, untouched.
 using CheckpointFn =
-    std::function<void(uint32_t epoch, const Bytes& state, bool critical)>;
+    std::function<void(uint32_t epoch, const std::function<Bytes()>& state,
+                       bool critical)>;
 
 // Periodic liveness beacon for the failure-detection subsystem: while the
 // hosting device is alive, renews the operator's lease at the repair

@@ -179,7 +179,8 @@ Status CombinerActor::RestoreState(const Bytes& state) {
 
 void CombinerActor::MaybeCheckpoint(bool critical) {
   if (!config_.checkpoint) return;
-  config_.checkpoint(/*epoch=*/0, SerializeState(), critical);
+  config_.checkpoint(/*epoch=*/0, [this]() { return SerializeState(); },
+                     critical);
 }
 
 void CombinerActor::HandleMessage(const net::Message& msg) {
@@ -456,18 +457,17 @@ void CombinerActor::CombineAndEmitKm() {
 
 void CombinerActor::EmitWithResends() {
   SendResult(pending_result_);
-  for (int i = 1; i <= config_.result_resends; ++i) {
-    net()->ScheduleAfter(dev()->id(), ResendBackoffDelay(i, config_.resend_interval),
-        [this]() {
-          if (defunct()) return;
-          // A standby that yielded leadership between scheduling and firing
-          // must go quiet even with a result pending — otherwise both the
-          // new leader and the ex-leader keep emitting duplicates.
-          if (result_ready_ && (config_.active_emit || replica_->is_leader())) {
-            SendResult(pending_result_);
-          }
-        });
-  }
+  ScheduleResends(
+      net(), dev()->id(), config_.result_resends, config_.resend_interval,
+      [this]() {
+        if (defunct()) return;
+        // A standby that yielded leadership between scheduling and firing
+        // must go quiet even with a result pending — otherwise both the
+        // new leader and the ex-leader keep emitting duplicates.
+        if (result_ready_ && (config_.active_emit || replica_->is_leader())) {
+          SendResult(pending_result_);
+        }
+      });
 }
 
 void CombinerActor::SendResult(const data::Table& table) {

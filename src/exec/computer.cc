@@ -116,7 +116,8 @@ Status ComputerActor::RestoreState(const Bytes& state) {
 
 void ComputerActor::MaybeCheckpoint(bool critical) {
   if (!config_.checkpoint) return;
-  config_.checkpoint(slice_epoch_, SerializeState(), critical);
+  config_.checkpoint(slice_epoch_, [this]() { return SerializeState(); },
+                     critical);
 }
 
 void ComputerActor::HandleMessage(const net::Message& msg) {
@@ -197,15 +198,13 @@ void ComputerActor::ComputeAndEmitGs() {
 
 void ComputerActor::EmitGsWithResends() {
   EmitGs();
-  for (int i = 1; i <= config_.emission_resends; ++i) {
-    net()->ScheduleAfter(dev()->id(), ResendBackoffDelay(i, config_.resend_interval),
-        [this]() {
-          if (defunct()) return;
-          // Suppressed after a leadership yield: the replica that took
-          // over re-emits its own partial.
-          if (replica_->is_leader()) EmitGs();
-        });
-  }
+  ScheduleResends(net(), dev()->id(), config_.emission_resends,
+                  config_.resend_interval, [this]() {
+                    if (defunct()) return;
+                    // Suppressed after a leadership yield: the replica that
+                    // took over re-emits its own partial.
+                    if (replica_->is_leader()) EmitGs();
+                  });
 }
 
 void ComputerActor::EmitGs() {
@@ -365,17 +364,15 @@ void ComputerActor::EmitKmFinal() {
   msg.partition = config_.partition;
   msg.knowledge = knowledge_;
   msg.stats = std::move(stats);
-  SealAndSendAll(config_.combiners, kKmFinal, msg.Encode());
-  for (int i = 1; i <= config_.emission_resends; ++i) {
-    Bytes payload = msg.Encode();
-    net()->ScheduleAfter(dev()->id(), ResendBackoffDelay(i, config_.resend_interval),
-        [this, payload]() {
-          if (defunct()) return;
-          if (replica_->is_leader()) {
-            SealAndSendAll(config_.combiners, kKmFinal, payload);
-          }
-        });
-  }
+  const Bytes payload = msg.Encode();
+  SealAndSendAll(config_.combiners, kKmFinal, payload);
+  ScheduleResends(net(), dev()->id(), config_.emission_resends,
+                  config_.resend_interval, [this, payload]() {
+                    if (defunct()) return;
+                    if (replica_->is_leader()) {
+                      SealAndSendAll(config_.combiners, kKmFinal, payload);
+                    }
+                  });
   output_sent_ = true;
   MaybeCheckpoint(/*critical=*/true);
   if (config_.trace != nullptr) {

@@ -171,12 +171,16 @@ void ClusterStats::Serialize(Writer* w) const {
 }
 
 Result<ClusterStats> ClusterStats::Deserialize(Reader* r) {
+  // Smallest AggregateState encoding: count varint, sum / sum_sq / min /
+  // max, and the has_numeric / has_hll / has_sketch flags.
+  constexpr size_t kMinStateBytes = 1 + 4 * sizeof(double) + 3;
   ClusterStats out;
-  auto n = r->GetVarint();
+  // Each cluster carries at least its aggregate-count varint.
+  auto n = r->GetCount(/*min_element_bytes=*/1);
   if (!n.ok()) return n.status();
   out.per_cluster.resize(*n);
   for (uint64_t c = 0; c < *n; ++c) {
-    auto na = r->GetVarint();
+    auto na = r->GetCount(kMinStateBytes);
     if (!na.ok()) return na.status();
     out.per_cluster[c].reserve(*na);
     for (uint64_t a = 0; a < *na; ++a) {

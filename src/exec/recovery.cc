@@ -60,7 +60,8 @@ RecoveryHost::~RecoveryHost() {
 }
 
 CheckpointFn RecoveryHost::MakeCheckpointFn() {
-  return [this](uint32_t epoch, const Bytes& state, bool critical) {
+  return [this](uint32_t epoch, const std::function<Bytes()>& state,
+                bool critical) {
     const SimTime now = net_->now();
     if (!critical && has_checkpointed_ &&
         now < last_checkpoint_ + config_.checkpoint_interval) {
@@ -72,7 +73,7 @@ CheckpointFn RecoveryHost::MakeCheckpointFn() {
     rec.vgroup = config_.vgroup;
     rec.epoch = epoch;
     rec.incarnation = dev_->boot_epoch();
-    rec.state = state;
+    rec.state = state();
     if (store_.Checkpoint(rec.Encode()).ok()) {
       has_checkpointed_ = true;
       last_checkpoint_ = now;
@@ -172,16 +173,14 @@ void RecoveryHost::SendHello() {
   (void)dev_->SendSealed(config_.coordinator, kRecoveryHello, payload,
                          config_.query_id);
   const uint64_t inc = attempt_incarnation_;
-  for (int i = 1; i <= config_.hello_resends; ++i) {
-    net_->ScheduleAfter(
-        dev_->id(), ResendBackoffDelay(i, config_.resend_interval),
-        [this, payload, inc]() {
-          if (dev_->network()->IsDead(dev_->id())) return;
-          if (attempt_incarnation_ != inc || !awaiting_ack_) return;
-          (void)dev_->SendSealed(config_.coordinator, kRecoveryHello,
-                                 payload, config_.query_id);
-        });
-  }
+  ScheduleResends(net_, dev_->id(), config_.hello_resends,
+                  config_.resend_interval, [this, payload, inc]() {
+                    if (dev_->network()->IsDead(dev_->id())) return;
+                    if (attempt_incarnation_ != inc || !awaiting_ack_) return;
+                    (void)dev_->SendSealed(config_.coordinator,
+                                           kRecoveryHello, payload,
+                                           config_.query_id);
+                  });
 }
 
 void RecoveryHost::OnMessage(const net::Message& msg) {

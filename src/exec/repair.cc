@@ -229,26 +229,22 @@ void RepairController::SendRecruit(RecruitRole role, net::NodeId to,
                                : std::string("computer -> ")) +
                               std::to_string(to));
   }
-  for (int i = 1; i <= config_.recruit_resends; ++i) {
-    net_->ScheduleAfter(
-        dev_->id(), ResendBackoffDelay(i, config_.resend_interval),
-        [this, role, to, partition, vgroup, epoch, payload]() {
-          if (partition >= chains_.size() ||
-              vgroup >= config_.num_vgroups) {
-            return;
-          }
-          const Chain& c = chains_[partition][vgroup];
-          if (c.epoch != epoch) return;  // chain moved to a newer recruit
-          const bool acked = role == RecruitRole::kSnapshotBuilder
-                                 ? c.builder_acked
-                                 : c.computer_acked;
-          if (!acked && !dev_->network()->IsDead(dev_->id()) &&
-              dev_->boot_epoch() == birth_epoch_) {
-            (void)dev_->SendSealed(to, kRecruit, payload,
-                                   config_.query_id);
-          }
-        });
-  }
+  ScheduleResends(
+      net_, dev_->id(), config_.recruit_resends, config_.resend_interval,
+      [this, role, to, partition, vgroup, epoch, payload]() {
+        if (partition >= chains_.size() || vgroup >= config_.num_vgroups) {
+          return;
+        }
+        const Chain& c = chains_[partition][vgroup];
+        if (c.epoch != epoch) return;  // chain moved to a newer recruit
+        const bool acked = role == RecruitRole::kSnapshotBuilder
+                               ? c.builder_acked
+                               : c.computer_acked;
+        if (!acked && !dev_->network()->IsDead(dev_->id()) &&
+            dev_->boot_epoch() == birth_epoch_) {
+          (void)dev_->SendSealed(to, kRecruit, payload, config_.query_id);
+        }
+      });
 }
 
 void RepairController::OnRecruitAck(const RecruitAckMsg& msg) {

@@ -111,7 +111,8 @@ Status SnapshotBuilderActor::RestoreState(const Bytes& state) {
 
 void SnapshotBuilderActor::MaybeCheckpoint(bool critical) {
   if (!config_.checkpoint) return;
-  config_.checkpoint(emit_epoch(), SerializeState(), critical);
+  config_.checkpoint(emit_epoch(), [this]() { return SerializeState(); },
+                     critical);
 }
 
 void SnapshotBuilderActor::HandleMessage(const net::Message& msg) {
@@ -182,15 +183,13 @@ void SnapshotBuilderActor::MaybeEmit() {
 
 void SnapshotBuilderActor::EmitSliceWithResends() {
   EmitSlice();
-  for (int i = 1; i <= config_.emission_resends; ++i) {
-    net()->ScheduleAfter(dev()->id(), ResendBackoffDelay(i, config_.resend_interval),
-        [this]() {
-          if (defunct()) return;
-          // Suppressed after a leadership yield: the replica that took
-          // over re-emits its own epoch's slice.
-          if (replica_->is_leader()) EmitSlice();
-        });
-  }
+  ScheduleResends(net(), dev()->id(), config_.emission_resends,
+                  config_.resend_interval, [this]() {
+                    if (defunct()) return;
+                    // Suppressed after a leadership yield: the replica that
+                    // took over re-emits its own epoch's slice.
+                    if (replica_->is_leader()) EmitSlice();
+                  });
 }
 
 void SnapshotBuilderActor::EmitSlice() {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 namespace edgelet::ml {
 
@@ -91,10 +92,23 @@ void KMeansKnowledge::Serialize(Writer* w) const {
 
 Result<KMeansKnowledge> KMeansKnowledge::Deserialize(Reader* r) {
   KMeansKnowledge out;
-  auto k = r->GetVarint();
+  // Every centroid carries at least its count varint: k <= remaining().
+  auto k = r->GetCount(/*min_element_bytes=*/1);
   if (!k.ok()) return k.status();
   auto d = r->GetVarint();
   if (!d.ok()) return d.status();
+  // ... plus d doubles: k * (8d + 1) <= remaining(), checked on the
+  // per-centroid share so that d = 0 (centroids without coordinates)
+  // needs no special case.
+  if (*k > 0) {
+    const size_t per_centroid = r->remaining() / *k;
+    if (per_centroid == 0 || *d > (per_centroid - 1) / sizeof(double)) {
+      return Status::Corruption("k-means dimension " + std::to_string(*d) +
+                                " exceeds the " +
+                                std::to_string(r->remaining()) +
+                                " bytes left");
+    }
+  }
   out.centroids.resize(*k, std::vector<double>(*d));
   for (uint64_t i = 0; i < *k; ++i) {
     for (uint64_t j = 0; j < *d; ++j) {

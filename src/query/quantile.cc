@@ -106,7 +106,7 @@ Result<QuantileSketch> QuantileSketch::Deserialize(Reader* r) {
   }
   out.levels_.assign(*num_levels, {});
   for (uint64_t h = 0; h < *num_levels; ++h) {
-    auto n = r->GetVarint();
+    auto n = r->GetCount(sizeof(double));
     if (!n.ok()) return n.status();
     out.levels_[h].reserve(*n);
     for (uint64_t i = 0; i < *n; ++i) {

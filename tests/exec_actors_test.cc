@@ -9,7 +9,9 @@
 #include "common/hash.h"
 #include "exec/combiner.h"
 #include "exec/computer.h"
+#include "exec/recovery.h"
 #include "exec/snapshot_builder.h"
+#include "store/medium.h"
 
 namespace edgelet::exec {
 namespace {
@@ -221,6 +223,80 @@ TEST_F(ActorTest, SnapshotBuilderDedupSurvivesRestore) {
   SendContribution(contributor, resumed_dev->id(), 7, "east", 31.0);
   sim_.RunUntil(3 * kMinute);
   EXPECT_EQ(resumed.tuples_collected(), 6u);
+}
+
+// The recovery sink decides before it serializes: a builder's state is
+// pulled only for the records the cadence throttle lets through. The
+// record count and the sealed log's hash for this fixed crash-recovery run
+// (contributions every 300 ms, crash at 2.5 s, reboot at 3.2 s, unilateral
+// resume) are the values an eager-serializing sink produced, so the
+// throttle decisions and the stored bytes are unchanged.
+TEST_F(ActorTest, SnapshotBuilderCheckpointSerializesOnlyWrittenRecords) {
+  device::Device* sb_dev = NewDevice();
+  device::Device* sink_dev = NewDevice();
+  SliceSink sink(&transport_, sink_dev);
+
+  auto medium = std::make_unique<store::MemoryMedium>();
+  store::StableMedium* log = medium.get();
+  RecoveryHost::Config host_cfg;
+  host_cfg.query_id = 1;
+  RecoveryHost host(&transport_, sb_dev, host_cfg, std::move(medium));
+  const CheckpointFn host_sink = host.MakeCheckpointFn();
+  uint64_t producer_calls = 0;
+
+  SnapshotBuilderActor::Config cfg;
+  cfg.query_id = 1;
+  cfg.quota = 12;
+  cfg.computers = {sink_dev->id()};
+  cfg.columns = {"region", "bmi"};
+  cfg.replica = Singleton(sb_dev);
+  cfg.emission_resends = 2;
+  cfg.checkpoint = [&](uint32_t epoch, const std::function<Bytes()>& state,
+                       bool critical) {
+    host_sink(epoch,
+              [&]() {
+                ++producer_calls;
+                return state();
+              },
+              critical);
+  };
+  SnapshotBuilderActor sb(&transport_, sb_dev, cfg);
+  std::unique_ptr<SnapshotBuilderActor> resumed;
+  host.set_resume([&](const Bytes& state) {
+    SnapshotBuilderActor::Config rcfg = cfg;
+    rcfg.resume_state = state;
+    resumed = std::make_unique<SnapshotBuilderActor>(&transport_, sb_dev,
+                                                     std::move(rcfg));
+    resumed->Start();
+  });
+  sb.Start();
+
+  device::Device* contributor = NewDevice();
+  for (int i = 0; i < 24; ++i) {
+    sim_.ScheduleAt(contributor->id(), i * 300 * kMillisecond, [=, this]() {
+      SendContribution(contributor, sb_dev->id(), 100 + i,
+                       i % 2 == 0 ? "north" : "south", 20.0 + i);
+    });
+  }
+  const net::NodeId id = sb_dev->id();
+  sim_.ScheduleAt(id, 2500 * kMillisecond,
+                  [this, id]() { network_.Crash(id); });
+  sim_.ScheduleAt(id, 3200 * kMillisecond,
+                  [this, id]() { network_.Restart(id); });
+  sim_.RunUntil(kMinute);
+
+  ASSERT_NE(resumed, nullptr);
+  EXPECT_EQ(host.recoveries_resumed(), 1u);
+  EXPECT_TRUE(resumed->snapshot_complete());
+  EXPECT_FALSE(sink.slices.empty());
+  const store::StoreStats& stats = host.store().stats();
+  EXPECT_EQ(producer_calls, stats.checkpoints);
+  auto bytes = log->ReadAll();
+  ASSERT_TRUE(bytes.ok());
+  // The eager sink serialized 16 states to write these 6.
+  EXPECT_EQ(stats.checkpoints, 6u);
+  EXPECT_EQ(bytes->size(), 2524u);
+  EXPECT_EQ(Fnv1a64(bytes->data(), bytes->size()), 14787487508091727792ull);
 }
 
 // Sealed-glass model: a compromised contributor enclave seals well-

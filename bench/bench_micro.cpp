@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "crypto/aead.h"
@@ -103,10 +105,12 @@ void BM_SealFanout(benchmark::State& state) {
 }
 BENCHMARK(BM_SealFanout)->Arg(1024)->Arg(8192);
 
+// The snapshot codec: a slice or checkpoint buffer in Table's wire form,
+// written from and read into a ColumnTable.
 void BM_TableSerialize(benchmark::State& state) {
   data::HealthDataParams params;
   params.num_individuals = state.range(0);
-  data::Table table = data::GenerateHealthData(params, 1);
+  data::ColumnTable table = data::GenerateHealthColumns(params, 1);
   for (auto _ : state) {
     Writer w;
     table.Serialize(&w);
@@ -119,42 +123,43 @@ BENCHMARK(BM_TableSerialize)->Arg(10)->Arg(100)->Arg(1000);
 void BM_TableDeserialize(benchmark::State& state) {
   data::HealthDataParams params;
   params.num_individuals = state.range(0);
-  data::Table table = data::GenerateHealthData(params, 1);
   Writer w;
-  table.Serialize(&w);
+  data::GenerateHealthColumns(params, 1).Serialize(&w);
   for (auto _ : state) {
     Reader r(w.data());
-    benchmark::DoNotOptimize(data::Table::Deserialize(&r));
+    benchmark::DoNotOptimize(data::ColumnTable::Deserialize(&r));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TableDeserialize)->Arg(10)->Arg(100)->Arg(1000);
 
-void BM_GroupByCompute(benchmark::State& state) {
+data::TableView HealthView(int64_t rows) {
   data::HealthDataParams params;
-  params.num_individuals = state.range(0);
-  data::Table table = data::GenerateHealthData(params, 1);
+  params.num_individuals = rows;
+  return data::TableView(std::make_shared<const data::ColumnTable>(
+      data::GenerateHealthColumns(params, 1)));
+}
+
+void BM_GroupByCompute(benchmark::State& state) {
+  const data::TableView view = HealthView(state.range(0));
   query::GroupBySpec spec{
       {"region", "sex"},
       {{query::AggregateFunction::kCount, "*"},
        {query::AggregateFunction::kAvg, "bmi"},
        {query::AggregateFunction::kVariance, "systolic_bp"}}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(query::GroupedAggregation::Compute(table, spec));
+    benchmark::DoNotOptimize(query::GroupedAggregation::Compute(view, spec));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GroupByCompute)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_GroupByMerge(benchmark::State& state) {
-  data::HealthDataParams params;
-  params.num_individuals = 1000;
-  data::Table table = data::GenerateHealthData(params, 1);
   query::GroupBySpec spec{
       {"region", "sex"},
       {{query::AggregateFunction::kCount, "*"},
        {query::AggregateFunction::kAvg, "bmi"}}};
-  auto partial = query::GroupedAggregation::Compute(table, spec);
+  auto partial = query::GroupedAggregation::Compute(HealthView(1000), spec);
   for (auto _ : state) {
     query::GroupedAggregation acc;
     for (int i = 0; i < 8; ++i) {
@@ -264,21 +269,6 @@ void BM_VarintEncode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * values.size());
 }
 BENCHMARK(BM_VarintEncode);
-
-void BM_TableConcatMove(benchmark::State& state) {
-  data::HealthDataParams params;
-  params.num_individuals = state.range(0);
-  data::Table source = data::GenerateHealthData(params, 1);
-  for (auto _ : state) {
-    state.PauseTiming();
-    data::Table chunk = source;  // fresh copy to steal from
-    data::Table sink(source.schema());
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(sink.Concat(std::move(chunk)));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TableConcatMove)->Arg(1000);
 
 void BM_LloydStep(benchmark::State& state) {
   Rng rng(1);

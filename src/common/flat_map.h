@@ -173,6 +173,7 @@ class FlatSet64 {
  public:
   // Returns whether `key` was newly inserted.
   bool Insert(uint64_t key) { return map_.TryInsert(key, Unit{}).second; }
+  bool Contains(uint64_t key) const { return map_.Find(key) != nullptr; }
   size_t size() const { return map_.size(); }
   void Clear() { map_.Clear(); }
   template <typename Fn>

@@ -124,10 +124,16 @@ Result<uint64_t> Reader::GetCount(size_t min_element_bytes) {
 }
 
 Result<std::string> Reader::GetString() {
+  auto s = GetStringView();
+  if (!s.ok()) return s.status();
+  return std::string(*s);
+}
+
+Result<std::string_view> Reader::GetStringView() {
   auto len = GetVarint();
   if (!len.ok()) return len.status();
   EDGELET_RETURN_NOT_OK(Need(*len));
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), *len);
+  std::string_view s(reinterpret_cast<const char*>(data_ + pos_), *len);
   pos_ += *len;
   return s;
 }

@@ -112,6 +112,9 @@ class Reader {
   // never reaches a reserve/resize.
   Result<uint64_t> GetCount(size_t min_element_bytes);
   Result<std::string> GetString();
+  // GetString without the copy: the view aliases the reader's input and
+  // lives as long as it does.
+  Result<std::string_view> GetStringView();
   Result<Bytes> GetBytes();
 
   size_t remaining() const { return len_ - pos_; }

@@ -1,5 +1,6 @@
 #include "data/column_table.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -146,6 +147,28 @@ uint32_t ColumnTable::DictCode(size_t col, std::string_view s) const {
   return it == c.dict_index.end() ? kNullCode : it->second;
 }
 
+void ColumnTable::SerializeCell(size_t row, size_t col, Writer* w) const {
+  const ColumnData& c = columns_[col];
+  if (IsNull(row, col)) {
+    PutNullCell(w);
+    return;
+  }
+  switch (c.type) {
+    case ValueType::kInt64:
+      PutInt64Cell(w, c.i64[row]);
+      break;
+    case ValueType::kDouble:
+      PutDoubleCell(w, c.f64[row]);
+      break;
+    case ValueType::kString:
+      PutStringCell(w, c.dict[c.codes[row]]);
+      break;
+    case ValueType::kNull:
+      PutNullCell(w);
+      break;
+  }
+}
+
 Value ColumnTable::ValueAt(size_t row, size_t col) const {
   const ColumnData& c = columns_[col];
   if (IsNull(row, col)) return Value::Null();
@@ -187,6 +210,74 @@ Result<ColumnTable> ColumnTable::FromTable(const Table& table) {
     EDGELET_RETURN_NOT_OK(out.AppendTuple(row));
   }
   return out;
+}
+
+void ColumnTable::Serialize(Writer* w) const {
+  schema_.Serialize(w);
+  w->PutVarint(num_rows_);
+  for (size_t r = 0; r < num_rows_; ++r) {
+    for (size_t c = 0; c < columns_.size(); ++c) SerializeCell(r, c, w);
+  }
+}
+
+Result<ColumnTable> ColumnTable::Deserialize(Reader* r) {
+  auto schema = Schema::Deserialize(r);
+  if (!schema.ok()) return schema.status();
+  ColumnTable out(std::move(*schema));
+  auto rows = out.AppendSerializedRows(r, UINT64_MAX);
+  if (!rows.ok()) return rows.status();
+  return out;
+}
+
+Result<uint64_t> ColumnTable::AppendSerializedRows(Reader* r,
+                                                   uint64_t max_append) {
+  const size_t arity = columns_.size();
+  // Every cell is at least its tag byte. Rows of a zero-arity table
+  // occupy no input at all, so their count gets Table's fixed cap.
+  auto n = arity > 0 ? r->GetCount(arity) : r->GetVarint();
+  if (!n.ok()) return n.status();
+  if (arity == 0 && *n > Table::kMaxColumnlessRows) {
+    return Status::Corruption("zero-arity table claims " +
+                              std::to_string(*n) + " rows");
+  }
+  // Check pass over a copy of the reader; `check` ends past the section.
+  Reader check = *r;
+  for (uint64_t i = 0; i < *n; ++i) {
+    for (size_t c = 0; c < arity; ++c) {
+      auto cell = GetCell(&check);
+      if (!cell.ok()) return cell.status();
+      if (cell->type != ValueType::kNull && cell->type != columns_[c].type) {
+        return Status::Corruption(
+            "cell of type " + std::string(ValueTypeToString(cell->type)) +
+            " in column '" + schema_.column(c).name + "' of type " +
+            std::string(ValueTypeToString(columns_[c].type)));
+      }
+    }
+  }
+  const uint64_t keep = std::min(*n, max_append);
+  if (num_rows_ == 0) Reserve(keep);
+  for (uint64_t i = 0; i < keep; ++i) {
+    for (size_t c = 0; c < arity; ++c) {
+      const WireCell cell = *GetCell(r);  // checked above
+      switch (cell.type) {
+        case ValueType::kNull:
+          AppendNull(c);
+          break;
+        case ValueType::kInt64:
+          AppendInt64(c, cell.i64);
+          break;
+        case ValueType::kDouble:
+          AppendDouble(c, cell.f64);
+          break;
+        case ValueType::kString:
+          AppendString(c, cell.str);
+          break;
+      }
+    }
+    FinishRow();
+  }
+  *r = check;
+  return *n;
 }
 
 size_t ColumnTable::ApproxBytes() const {
@@ -305,10 +396,9 @@ Result<ProjectionEncoder> ProjectionEncoder::Make(
   auto projected = schema.Project(columns);
   if (!projected.ok()) return projected.status();
   ProjectionEncoder enc;
-  enc.cells_.reserve(columns.size());
+  enc.columns_.reserve(columns.size());
   for (const auto& c : columns) {
-    size_t idx = *schema.IndexOf(c);  // Project succeeded: present
-    enc.cells_.push_back({idx, schema.column(idx).type});
+    enc.columns_.push_back(*schema.IndexOf(c));  // Project succeeded
   }
   Writer w;
   projected->Serialize(&w);
@@ -333,27 +423,7 @@ void ProjectionEncoder::EncodeRow(const ColumnTable& store, size_t row,
 
 void ProjectionEncoder::EncodeCells(const ColumnTable& store, size_t row,
                                     Writer* w) const {
-  // Mirrors ColumnTable::ValueAt + Value::Serialize cell by cell.
-  for (const Cell& cell : cells_) {
-    if (store.IsNull(row, cell.col)) {
-      PutNullCell(w);
-      continue;
-    }
-    switch (cell.type) {
-      case ValueType::kInt64:
-        PutInt64Cell(w, store.Int64At(row, cell.col));
-        break;
-      case ValueType::kDouble:
-        PutDoubleCell(w, store.DoubleAt(row, cell.col));
-        break;
-      case ValueType::kString:
-        PutStringCell(w, store.StringAt(row, cell.col));
-        break;
-      case ValueType::kNull:
-        PutNullCell(w);
-        break;
-    }
-  }
+  for (size_t col : columns_) store.SerializeCell(row, col, w);
 }
 
 }  // namespace edgelet::data

@@ -14,10 +14,12 @@
 namespace edgelet::data {
 
 // Columnar (SoA) relation: one typed vector per schema column, a null
-// bitmap per column, and dictionary-encoded strings. This is the bulk
-// representation of crowd-scale populations — one shared slab the whole
-// host process reads through TableViews — while the row Table stays the
-// boundary format (wire messages, small per-operator partitions).
+// bitmap per column, and dictionary-encoded strings. It is the one
+// representation of snapshot data from contributor to computer: the
+// crowd-scale population (one shared slab the whole host process reads
+// through TableViews), each Snapshot Builder's buffer and each Computer's
+// slice. Operator kernels read it through TableViews. The row Table is
+// left as the result format (finalized aggregates, the oracle).
 //
 // Layout per column:
 //   INT64  -> std::vector<int64_t>            (8 B/row)
@@ -35,8 +37,11 @@ namespace edgelet::data {
 // columns for row i in any column order and seals the row with
 // FinishRow(). Materialization back to rows (ValueAt / MaterializeRow /
 // ToTable) is bit-exact: round-tripping a Table through FromTable +
-// ToTable compares equal, which is what keeps execution fingerprints
-// identical to the historical row path.
+// ToTable compares equal.
+//
+// The wire form is Table's: Serialize writes exactly the bytes of
+// ToTable().Serialize(), and Deserialize reads them back into typed
+// columns without building a row.
 class ColumnTable {
  public:
   // Sentinel stored in a string column's code vector at NULL positions.
@@ -113,16 +118,32 @@ class ColumnTable {
   // never occurs (useful for equality-predicate fast paths).
   uint32_t DictCode(size_t col, std::string_view s) const;
 
-  // --- Row materialization (the device/wire boundary) ----------------------
+  // --- Row materialization (cells as Values) --------------------------------
   Value ValueAt(size_t row, size_t col) const;
+  // Writes ValueAt(row, col).Serialize(w)'s bytes without the Value: the
+  // cell writer of Serialize, ProjectionEncoder and group-key encoding.
+  void SerializeCell(size_t row, size_t col, Writer* w) const;
   Tuple MaterializeRow(size_t row) const;
 
-  // Full row-store materialization. O(rows) — compat/test paths only.
+  // Full row-store materialization. O(rows) — tests and the result
+  // boundary only.
   Table ToTable() const;
 
   // Columnarizes a row table. Fails on cells whose type contradicts the
   // schema (AppendUnchecked'd rows are not pre-validated).
   static Result<ColumnTable> FromTable(const Table& table);
+
+  // --- Wire form (Table::Serialize's bytes) ---------------------------------
+  void Serialize(Writer* w) const;
+  // Total on hostile input: counts are bounded by the bytes left, and a
+  // cell whose tag contradicts its column type is Corruption.
+  static Result<ColumnTable> Deserialize(Reader* r);
+  // Reads the row section that follows a serialized schema equal to this
+  // table's (a row count, then every cell) and appends the first
+  // `max_append` rows. All or nothing: every cell is checked before any
+  // row is appended, and the reader ends past the whole section. Returns
+  // the row count the section carried.
+  Result<uint64_t> AppendSerializedRows(Reader* r, uint64_t max_append);
 
   // Approximate resident bytes of the slab (columns + dictionaries).
   size_t ApproxBytes() const;
@@ -214,14 +235,14 @@ class TableView {
   // selection).
   TableView Select(const std::vector<uint32_t>& view_rows) const;
 
-  // --- Lazy row materialization (the wire boundary) ------------------------
+  // --- Lazy row materialization --------------------------------------------
   Tuple MaterializeRow(size_t row) const;
-  // Full row table with this view's schema. O(num_rows) — boundary and
-  // compat paths only.
+  // Full row table with this view's schema. O(num_rows) — tests and
+  // the result boundary only.
   Table ToTable() const;
   // Row table restricted to the named columns, in order. The contribution
   // send path does not build it: ProjectionEncoder writes the same bytes
-  // straight from the columns.
+  // straight from the columns. Kept as the encoder's reference.
   Result<Table> ProjectToTable(const std::vector<std::string>& columns) const;
 
  private:
@@ -234,10 +255,10 @@ class TableView {
 // Column-to-wire encoder for one projection of a ColumnTable schema: what
 // contributors put on the wire per vertical group. It writes exactly the
 // bytes of view.ProjectToTable(columns)->Serialize(w) straight from the
-// typed columns — no Table, Tuple or Value is built per row. The column
-// indices, their types and the serialized projected schema are resolved
-// once, by Make; the encoder then serves any view over a store with that
-// schema.
+// typed columns through ColumnTable::SerializeCell — no Table, Tuple or
+// Value is built per row. The column indices and the serialized projected
+// schema are resolved once, by Make; the encoder then serves any view over
+// a store with that schema.
 class ProjectionEncoder {
  public:
   // Fails like Schema::Project (NotFound for a column not in `schema`).
@@ -250,13 +271,9 @@ class ProjectionEncoder {
   void EncodeRow(const ColumnTable& store, size_t row, Writer* w) const;
 
  private:
-  struct Cell {
-    size_t col;
-    ValueType type;
-  };
   void EncodeCells(const ColumnTable& store, size_t row, Writer* w) const;
 
-  std::vector<Cell> cells_;
+  std::vector<size_t> columns_;  // store column of each projected cell
   Bytes schema_bytes_;
 };
 

@@ -52,40 +52,6 @@ Result<Table> Table::Project(const std::vector<std::string>& columns) const {
   return out;
 }
 
-Table Table::Filter(const std::function<bool(const Tuple&)>& pred) const {
-  Table out(schema_);
-  for (const auto& r : rows_) {
-    if (pred(r)) out.AppendUnchecked(r);
-  }
-  return out;
-}
-
-Status Table::Concat(const Table& other) {
-  if (!(schema_ == other.schema_)) {
-    return Status::InvalidArgument("cannot concat tables: schema mismatch " +
-                                   schema_.ToString() + " vs " +
-                                   other.schema_.ToString());
-  }
-  rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
-  return Status::OK();
-}
-
-Status Table::Concat(Table&& other) {
-  if (!(schema_ == other.schema_)) {
-    return Status::InvalidArgument("cannot concat tables: schema mismatch " +
-                                   schema_.ToString() + " vs " +
-                                   other.schema_.ToString());
-  }
-  if (rows_.empty()) {
-    rows_ = std::move(other.rows_);
-  } else {
-    rows_.insert(rows_.end(), std::make_move_iterator(other.rows_.begin()),
-                 std::make_move_iterator(other.rows_.end()));
-  }
-  other.rows_.clear();
-  return Status::OK();
-}
-
 void Table::SortRows() {
   std::sort(rows_.begin(), rows_.end(), [](const Tuple& a, const Tuple& b) {
     for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
@@ -94,20 +60,6 @@ void Table::SortRows() {
     }
     return a.size() < b.size();
   });
-}
-
-Result<std::vector<double>> Table::NumericColumn(
-    std::string_view column) const {
-  auto idx = schema_.IndexOf(column);
-  if (!idx.ok()) return idx.status();
-  std::vector<double> out;
-  out.reserve(rows_.size());
-  for (const auto& r : rows_) {
-    auto d = r[*idx].ToDouble();
-    if (!d.ok()) return d.status();
-    out.push_back(*d);
-  }
-  return out;
 }
 
 void Table::Serialize(Writer* w) const {

@@ -1,7 +1,6 @@
 #ifndef EDGELET_DATA_TABLE_H_
 #define EDGELET_DATA_TABLE_H_
 
-#include <functional>
 #include <vector>
 
 #include "data/schema.h"
@@ -11,13 +10,13 @@ namespace edgelet::data {
 
 using Tuple = std::vector<Value>;
 
-// Row-oriented in-memory relation: the engine's *boundary* format. Wire
-// messages, per-operator partitions, and aggregation outputs are small
-// (C/n tuples, typically hundreds), so a simple row store is the right
-// representation there. Bulk population data lives in the columnar
-// ColumnTable (data/column_table.h) and is read through TableViews; rows
-// are materialized from it lazily, at the device/wire boundary only —
-// the engine never holds the full crowd dataset as tuples.
+// Row-oriented in-memory relation: the engine's *result* format.
+// Finalized aggregates (GroupedAggregation / GroupingSetsResult::Finalize),
+// the final-result message, the combiner's output and the validity oracle
+// are small tables of Values, and a row store is the right shape there.
+// Snapshot data — the population, builder buffers, computer slices — is
+// columnar (ColumnTable, data/column_table.h) from contributor to computer,
+// and Table::Serialize's bytes are its wire form too.
 class Table {
  public:
   Table() = default;
@@ -46,31 +45,10 @@ class Table {
   // New table with only the named columns, in order.
   Result<Table> Project(const std::vector<std::string>& columns) const;
 
-  // New table with rows satisfying `pred`.
-  Table Filter(const std::function<bool(const Tuple&)>& pred) const;
-
-  // Appends all rows of `other`; schemas must match exactly.
-  Status Concat(const Table& other);
-  // Move-append: steals `other`'s rows (leaving it empty) instead of
-  // copying every tuple. The fast path when the receiver is still empty is
-  // a plain vector move.
-  Status Concat(Table&& other);
-
-  // Relinquishes the row storage (the table is left empty). Lets trusted
-  // consumers move tuples out of a decoded message instead of copying.
-  std::vector<Tuple> TakeRows() {
-    std::vector<Tuple> out = std::move(rows_);
-    rows_.clear();
-    return out;
-  }
-
   // Deterministic order: sorts rows lexicographically by value. Used to
   // compare distributed and centralized results independent of arrival
   // order.
   void SortRows();
-
-  // Column as doubles (int64 widened); fails on strings/NULL.
-  Result<std::vector<double>> NumericColumn(std::string_view column) const;
 
   void Serialize(Writer* w) const;
   // Total on hostile input: row and column counts that cannot fit in the

@@ -68,29 +68,56 @@ void Value::Serialize(Writer* w) const {
   }
 }
 
-Result<Value> Value::Deserialize(Reader* r) {
+Result<WireCell> GetCell(Reader* r) {
   auto tag = r->GetU8();
   if (!tag.ok()) return tag.status();
+  WireCell cell;
   switch (static_cast<ValueType>(*tag)) {
     case ValueType::kNull:
-      return Value::Null();
+      return cell;
     case ValueType::kInt64: {
       auto v = r->GetVarintSigned();
       if (!v.ok()) return v.status();
-      return Value(*v);
+      cell.type = ValueType::kInt64;
+      cell.i64 = *v;
+      return cell;
     }
     case ValueType::kDouble: {
       auto v = r->GetDouble();
       if (!v.ok()) return v.status();
-      return Value(*v);
+      cell.type = ValueType::kDouble;
+      cell.f64 = *v;
+      return cell;
     }
     case ValueType::kString: {
-      auto v = r->GetString();
+      auto v = r->GetStringView();
       if (!v.ok()) return v.status();
-      return Value(std::move(*v));
+      cell.type = ValueType::kString;
+      cell.str = *v;
+      return cell;
     }
   }
   return Status::Corruption("unknown value tag " + std::to_string(*tag));
+}
+
+Result<Value> Value::Deserialize(Reader* r) {
+  auto cell = GetCell(r);
+  if (!cell.ok()) return cell.status();
+  Value v;
+  switch (cell->type) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kInt64:
+      v.v_ = cell->i64;
+      break;
+    case ValueType::kDouble:
+      v.v_ = cell->f64;
+      break;
+    case ValueType::kString:
+      v.v_.emplace<std::string>(cell->str);
+      break;
+  }
+  return v;
 }
 
 bool Value::operator<(const Value& other) const {

@@ -22,9 +22,10 @@ std::string_view ValueTypeToString(ValueType t);
 
 // Wire encoding of one cell: the ValueType tag byte, then the payload
 // (zigzag varint, 8-byte IEEE double, or length-prefixed bytes). These are
-// the only cell writers: Value::Serialize and the column-to-wire
-// projection encoder (data/column_table.h) both write through them, so
-// the two paths cannot drift apart byte-wise.
+// the only cell writers: Value::Serialize and the column-to-wire encoders
+// (data/column_table.h) both write through them, and GetCell below is the
+// only cell reader, so the row and columnar paths cannot drift apart
+// byte-wise.
 inline void PutNullCell(Writer* w) {
   w->PutU8(static_cast<uint8_t>(ValueType::kNull));
 }
@@ -40,6 +41,18 @@ inline void PutStringCell(Writer* w, std::string_view v) {
   w->PutU8(static_cast<uint8_t>(ValueType::kString));
   w->PutString(v);
 }
+
+// One decoded cell: its tag and the payload field that tag selects. `str`
+// aliases the reader's input, so a columnar decoder can intern it without
+// building a std::string.
+struct WireCell {
+  ValueType type = ValueType::kNull;
+  int64_t i64 = 0;
+  double f64 = 0.0;
+  std::string_view str;
+};
+// Reads one cell; an unknown tag is Corruption, a short payload DataLoss.
+Result<WireCell> GetCell(Reader* r);
 
 // A single cell. Small tagged union; copyable. NULL compares equal to NULL
 // and sorts before every non-null value (SQL-style total order for grouping).
@@ -65,7 +78,7 @@ class Value {
   // Numeric widening: int64 or double -> double. Fails on string/null.
   Result<double> ToDouble() const;
 
-  // Renders for CSV / reports ("" for NULL).
+  // Renders for reports ("" for NULL).
   std::string ToString() const;
 
   void Serialize(Writer* w) const;

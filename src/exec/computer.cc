@@ -10,6 +10,7 @@ ComputerActor::ComputerActor(net::Transport* net, device::Device* dev,
                              Config config)
     : ActorBase(net, dev, config.query_id),
       config_(std::move(config)),
+      slice_(std::make_shared<const data::ColumnTable>()),
       mb_rng_(Mix64(config_.query_id) ^ Mix64(config_.partition + 0x77)) {
   replica_ = std::make_unique<ReplicaRole>(net, dev, config_.replica);
   replica_->set_on_promote([this]() {
@@ -34,13 +35,12 @@ void ComputerActor::Start() {
     if (!RestoreState(config_.resume_state).ok()) {
       // Undecodable resume state: start fresh rather than wedge.
       have_slice_ = output_sent_ = km_initialized_ = false;
-      slice_ = data::Table();
+      slice_ = std::make_shared<const data::ColumnTable>();
       knowledge_ = ml::KMeansKnowledge();
     }
     if (have_slice_ && config_.mode == Mode::kKMeans) {
       // Points derive from the durable slice; no need to persist them.
-      auto points = ml::ExtractPoints(slice_, config_.km_spec.features);
-      if (points.ok()) points_ = std::move(*points);
+      ExtractSlicePoints();
     }
   }
   replica_->Start();
@@ -64,7 +64,7 @@ void ComputerActor::Start() {
     // Resumed with a durable slice: recompute the partial (cheaper to
     // recompute than to persist) and, as leader, (re-)emit — the combiner
     // dedups if the pre-crash emission landed.
-    net()->ScheduleAfter(dev()->id(), dev()->ComputeCost(slice_.num_rows()),
+    net()->ScheduleAfter(dev()->id(), dev()->ComputeCost(slice_->num_rows()),
                          [this]() {
                            if (defunct()) return;
                            ComputeAndEmitGs();
@@ -77,7 +77,7 @@ Bytes ComputerActor::SerializeState() const {
   w.PutBool(have_slice_);
   w.PutBool(output_sent_);
   w.PutU32(slice_epoch_);
-  slice_.Serialize(&w);
+  slice_->Serialize(&w);
   w.PutBool(km_initialized_);
   if (km_initialized_) knowledge_.Serialize(&w);
   w.PutVarint(static_cast<uint64_t>(rounds_with_peer_input_));
@@ -92,7 +92,7 @@ Status ComputerActor::RestoreState(const Bytes& state) {
   if (!output_sent.ok()) return output_sent.status();
   auto epoch = r.GetU32();
   if (!epoch.ok()) return epoch.status();
-  auto slice = data::Table::Deserialize(&r);
+  auto slice = data::ColumnTable::Deserialize(&r);
   if (!slice.ok()) return slice.status();
   auto km_init = r.GetBool();
   if (!km_init.ok()) return km_init.status();
@@ -107,7 +107,7 @@ Status ComputerActor::RestoreState(const Bytes& state) {
   have_slice_ = *have_slice;
   output_sent_ = *output_sent;
   slice_epoch_ = *epoch;
-  slice_ = std::move(*slice);
+  slice_ = std::make_shared<const data::ColumnTable>(std::move(*slice));
   km_initialized_ = *km_init;
   knowledge_ = std::move(knowledge);
   rounds_with_peer_input_ = static_cast<int>(*rounds);
@@ -159,33 +159,37 @@ void ComputerActor::OnSlice(const net::Message& msg) {
   if (have_slice_) return;
   have_slice_ = true;
   slice_epoch_ = slice->epoch;
-  slice_ = std::move(slice->rows);
-  dev()->enclave().RecordClearTextTuples(slice_.num_rows(),
-                                         slice_.schema().num_columns());
+  slice_ = std::make_shared<const data::ColumnTable>(std::move(slice->rows));
+  dev()->enclave().RecordClearTextTuples(slice_->num_rows(),
+                                         slice_->num_columns());
   // The slice in hand is a phase transition: persist before computing so a
   // crash during the (possibly long) compute does not lose it.
   MaybeCheckpoint(/*critical=*/true);
   if (config_.mode == Mode::kGroupingSets) {
-    net()->ScheduleAfter(dev()->id(), dev()->ComputeCost(slice_.num_rows()),
+    net()->ScheduleAfter(dev()->id(), dev()->ComputeCost(slice_->num_rows()),
                          [this]() {
                            if (defunct()) return;
                            ComputeAndEmitGs();
                          });
   } else {
-    auto points = ml::ExtractPoints(slice_, config_.km_spec.features);
-    if (!points.ok()) {
-      EDGELET_LOG(kError) << "computer " << dev()->id()
-                          << " feature extraction failed: "
-                          << points.status().ToString();
-      return;
-    }
-    points_ = std::move(*points);
+    ExtractSlicePoints();
   }
+}
+
+void ComputerActor::ExtractSlicePoints() {
+  auto points = ml::ExtractPoints(slice_view(), config_.km_spec.features);
+  if (!points.ok()) {
+    EDGELET_LOG(kError) << "computer " << dev()->id()
+                        << " feature extraction failed: "
+                        << points.status().ToString();
+    return;
+  }
+  points_ = std::move(*points);
 }
 
 void ComputerActor::ComputeAndEmitGs() {
   auto partial = query::GroupingSetsResult::ComputeSets(
-      slice_, config_.gs_spec, config_.set_indices);
+      slice_view(), config_.gs_spec, config_.set_indices);
   if (!partial.ok()) {
     EDGELET_LOG(kError) << "computer " << dev()->id()
                         << " grouping-sets failed: "
@@ -335,7 +339,7 @@ void ComputerActor::EmitKmFinal() {
   std::vector<int> agg_cols(aggs.size(), -1);
   for (size_t a = 0; a < aggs.size(); ++a) {
     if (aggs[a].column == "*") continue;
-    auto idx = slice_.schema().IndexOf(aggs[a].column);
+    auto idx = slice_->schema().IndexOf(aggs[a].column);
     if (!idx.ok()) {
       EDGELET_LOG(kError) << "cluster aggregate column missing: "
                           << aggs[a].column;
@@ -343,18 +347,21 @@ void ComputerActor::EmitKmFinal() {
     }
     agg_cols[a] = static_cast<int>(*idx);
   }
+  // Point i is slice row i (ExtractPoints yields one point per row).
   for (size_t i = 0; i < points_.size(); ++i) {
     int c = (*assignment)[i];
     for (size_t a = 0; a < aggs.size(); ++a) {
       if (agg_cols[a] < 0) {
         (void)stats.per_cluster[c][a].Add(data::Value::Null(), true);
-      } else if (aggs[a].fn == query::AggregateFunction::kCountDistinct) {
-        stats.per_cluster[c][a].AddDistinct(slice_.row(i)[agg_cols[a]]);
+        continue;
+      }
+      const data::Value cell = slice_->ValueAt(i, agg_cols[a]);
+      if (aggs[a].fn == query::AggregateFunction::kCountDistinct) {
+        stats.per_cluster[c][a].AddDistinct(cell);
       } else if (aggs[a].fn == query::AggregateFunction::kQuantile) {
-        (void)stats.per_cluster[c][a].AddQuantile(
-            slice_.row(i)[agg_cols[a]]);
+        (void)stats.per_cluster[c][a].AddQuantile(cell);
       } else {
-        (void)stats.per_cluster[c][a].Add(slice_.row(i)[agg_cols[a]]);
+        (void)stats.per_cluster[c][a].Add(cell);
       }
     }
   }

@@ -84,6 +84,9 @@ class ComputerActor : public ActorBase {
 
  private:
   void OnSlice(const net::Message& msg);
+  data::TableView slice_view() const { return data::TableView(slice_); }
+  // Sets points_ from the slice's K-Means features (logs a failure).
+  void ExtractSlicePoints();
   void ComputeAndEmitGs();
   void EmitGs();
   void EmitGsWithResends();
@@ -99,10 +102,11 @@ class ComputerActor : public ActorBase {
   std::unique_ptr<ReplicaRole> replica_;
   std::unique_ptr<LivenessBeacon> beacon_;
 
-  // Slice state.
+  // Slice state. The slice is the decoded ColumnTable (empty until one
+  // arrives); the kernels read it through a TableView.
   bool have_slice_ = false;
   uint32_t slice_epoch_ = 0;
-  data::Table slice_;
+  std::shared_ptr<const data::ColumnTable> slice_;
 
   // GS state.
   std::optional<query::GroupingSetsResult> gs_partial_;

@@ -15,15 +15,21 @@ void ContributionMsg::EncodeHeader(uint64_t query_id,
   w->PutU64(contributor_key);
 }
 
+Status ContributionMsg::DecodeHeader(Reader* r, uint64_t* query_id,
+                                     uint64_t* contributor_key) {
+  auto qid = r->GetU64();
+  if (!qid.ok()) return qid.status();
+  auto key = r->GetU64();
+  if (!key.ok()) return key.status();
+  *query_id = *qid;
+  *contributor_key = *key;
+  return Status::OK();
+}
+
 Result<ContributionMsg> ContributionMsg::Decode(const Bytes& b) {
   Reader r(b);
   ContributionMsg m;
-  auto qid = r.GetU64();
-  if (!qid.ok()) return qid.status();
-  m.query_id = *qid;
-  auto key = r.GetU64();
-  if (!key.ok()) return key.status();
-  m.contributor_key = *key;
+  EDGELET_RETURN_NOT_OK(DecodeHeader(&r, &m.query_id, &m.contributor_key));
   auto rows = data::Table::Deserialize(&r);
   if (!rows.ok()) return rows.status();
   m.rows = std::move(*rows);
@@ -70,7 +76,7 @@ Bytes SnapshotSliceMsg::Encode() const {
 
 void SnapshotSliceMsg::EncodeTo(uint64_t query_id, uint32_t partition,
                                 uint32_t vgroup, uint32_t epoch,
-                                const data::Table& rows, Writer* w) {
+                                const data::ColumnTable& rows, Writer* w) {
   w->PutU64(query_id);
   w->PutU32(partition);
   w->PutU32(vgroup);
@@ -93,7 +99,7 @@ Result<SnapshotSliceMsg> SnapshotSliceMsg::Decode(const Bytes& b) {
   auto epoch = r.GetU32();
   if (!epoch.ok()) return epoch.status();
   m.epoch = *epoch;
-  auto rows = data::Table::Deserialize(&r);
+  auto rows = data::ColumnTable::Deserialize(&r);
   if (!rows.ok()) return rows.status();
   m.rows = std::move(*rows);
   return m;

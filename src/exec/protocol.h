@@ -32,17 +32,23 @@ enum MessageType : uint32_t {
 
 // --- Payload envelopes -------------------------------------------------------
 
-// One contributor's qualifying rows (usually a single record).
+// One contributor's qualifying rows (usually a single record). The wire
+// form is the header, then the rows as Table::Serialize writes them. Send
+// paths write it with ContributionEncoder and the Snapshot Builder reads
+// it straight into its ColumnTable (DecodeHeader + ColumnTable
+// AppendSerializedRows); this row form is the reference both are tested
+// against.
 struct ContributionMsg {
   uint64_t query_id = 0;
   uint64_t contributor_key = 0;
   data::Table rows;
 
   Bytes Encode() const;
-  // The fields Encode() writes ahead of the rows (shared with
-  // ContributionEncoder).
+  // The fields Encode() writes ahead of the rows.
   static void EncodeHeader(uint64_t query_id, uint64_t contributor_key,
                            Writer* w);
+  static Status DecodeHeader(Reader* r, uint64_t* query_id,
+                             uint64_t* contributor_key);
   static Result<ContributionMsg> Decode(const Bytes& b);
 };
 
@@ -88,13 +94,14 @@ struct SnapshotSliceMsg {
   // Epoch distinguishes re-emissions by failover replicas (Backup
   // strategy): a partition's slices must come from one epoch.
   uint32_t epoch = 0;
-  data::Table rows;
+  data::ColumnTable rows;
 
   Bytes Encode() const;
   // Encode()'s bytes for a slice whose rows live elsewhere (the builder's
   // buffer), without copying them into a message first.
   static void EncodeTo(uint64_t query_id, uint32_t partition, uint32_t vgroup,
-                       uint32_t epoch, const data::Table& rows, Writer* w);
+                       uint32_t epoch, const data::ColumnTable& rows,
+                       Writer* w);
   static Result<SnapshotSliceMsg> Decode(const Bytes& b);
 };
 

@@ -31,7 +31,7 @@ void SnapshotBuilderActor::Start() {
     if (!RestoreState(config_.resume_state).ok()) {
       // Undecodable resume state: start fresh rather than wedge. The
       // store's integrity checks make this unreachable in practice.
-      buffer_ = data::Table();
+      buffer_ = data::ColumnTable();
       have_schema_ = complete_ = emitted_ = false;
       included_.clear();
       seen_contributors_.Clear();
@@ -81,7 +81,7 @@ Status SnapshotBuilderActor::RestoreState(const Bytes& state) {
   if (!complete.ok()) return complete.status();
   auto emitted = r.GetBool();
   if (!emitted.ok()) return emitted.status();
-  auto buffer = data::Table::Deserialize(&r);
+  auto buffer = data::ColumnTable::Deserialize(&r);
   if (!buffer.ok()) return buffer.status();
   std::vector<uint64_t> included;
   auto ni = r.GetVarint();
@@ -133,33 +133,47 @@ void SnapshotBuilderActor::HandleMessage(const net::Message& msg) {
 void SnapshotBuilderActor::OnContribution(const net::Message& msg) {
   if (complete_) return;  // quota reached: later contributions are ignored
   if (!OpenSealed(msg).ok()) return;
-  auto contribution = ContributionMsg::Decode(opened_payload());
-  if (!contribution.ok() || contribution->query_id != config_.query_id) {
+  Reader r(opened_payload());
+  uint64_t query_id = 0;
+  uint64_t key = 0;
+  if (!ContributionMsg::DecodeHeader(&r, &query_id, &key).ok() ||
+      query_id != config_.query_id) {
     return;
   }
+  auto schema = data::Schema::Deserialize(&r);
+  if (!schema.ok() || !AcceptsSchema(*schema)) return;
   // Idempotence: a contributor that re-sends (store-and-forward replays)
-  // is only counted once.
-  if (!seen_contributors_.Insert(contribution->contributor_key)) {
+  // is only counted once. Its key is consumed only once the contribution
+  // is accepted, so a malformed one cannot lock an honest re-send out.
+  if (seen_contributors_.Contains(key)) return;
+  if (!have_schema_) buffer_ = data::ColumnTable(std::move(*schema));
+  // All or nothing: the rows are checked before any is appended, and
+  // those past the quota are dropped.
+  const uint64_t before = buffer_.num_rows();
+  auto contributed_rows = buffer_.AppendSerializedRows(
+      &r, config_.quota > before ? config_.quota - before : 0);
+  if (!contributed_rows.ok()) {
+    if (!have_schema_) buffer_ = data::ColumnTable();
     return;
   }
-  if (!have_schema_) {
-    buffer_ = data::Table(contribution->rows.schema());
-    have_schema_ = true;
-  }
-  const uint64_t contributed_rows = contribution->rows.num_rows();
-  // The decoded message is ours: move its tuples into the buffer instead
-  // of copying value-by-value.
-  for (auto& row : contribution->rows.TakeRows()) {
-    if (buffer_.num_rows() >= config_.quota) break;
-    buffer_.AppendUnchecked(std::move(row));
-    included_.push_back(contribution->contributor_key);
-  }
+  have_schema_ = true;
+  seen_contributors_.Insert(key);
+  included_.insert(included_.end(), buffer_.num_rows() - before, key);
   // Raw cleartext data is now inside this enclave: exposure accounting.
-  dev()->enclave().RecordClearTextTuples(contributed_rows,
+  dev()->enclave().RecordClearTextTuples(*contributed_rows,
                                          buffer_.schema().num_columns());
   MaybeEmit();
   // Quota completion is a phase transition the store must not lose.
   MaybeCheckpoint(/*critical=*/complete_);
+}
+
+bool SnapshotBuilderActor::AcceptsSchema(const data::Schema& schema) const {
+  if (have_schema_) return schema == buffer_.schema();
+  if (schema.num_columns() != config_.columns.size()) return false;
+  for (size_t c = 0; c < config_.columns.size(); ++c) {
+    if (schema.column(c).name != config_.columns[c]) return false;
+  }
+  return true;
 }
 
 void SnapshotBuilderActor::MaybeEmit() {
@@ -198,8 +212,8 @@ void SnapshotBuilderActor::EmitSlice() {
     config_.trace->Record(now(), TraceEventKind::kSliceEmitted,
                           dev()->id(), config_.partition, config_.vgroup);
   }
-  // Serialized straight from the buffer (no Table copy) and dropped after
-  // the send: resends re-encode rather than pin a second copy.
+  // Serialized straight from the columns and dropped after the send:
+  // resends re-encode rather than pin a second copy.
   Writer w;
   SnapshotSliceMsg::EncodeTo(config_.query_id, config_.partition,
                              config_.vgroup, emit_epoch(), buffer_, &w);

@@ -27,7 +27,8 @@ class SnapshotBuilderActor : public ActorBase {
     uint64_t quota = 0;  // ceil(C/n)
     // Rank-ordered replica group of this chain's Computer.
     std::vector<net::NodeId> computers;
-    // Columns of this vertical group (what contributors send here).
+    // Columns of this vertical group (what contributors send here). A
+    // contribution whose schema names other columns is dropped.
     std::vector<std::string> columns;
     ReplicaRole::Config replica;
     ExecutionTrace* trace = nullptr;
@@ -77,6 +78,9 @@ class SnapshotBuilderActor : public ActorBase {
 
  private:
   void OnContribution(const net::Message& msg);
+  // Whether a contribution with `schema` may join the buffer: the first
+  // one must name exactly Config::columns, later ones must equal it.
+  bool AcceptsSchema(const data::Schema& schema) const;
   void MaybeEmit();
   void EmitSlice();
   void EmitSliceWithResends();
@@ -86,7 +90,9 @@ class SnapshotBuilderActor : public ActorBase {
   Config config_;
   std::unique_ptr<ReplicaRole> replica_;
   std::unique_ptr<LivenessBeacon> beacon_;
-  data::Table buffer_;
+  // Contributions are appended straight into the columns; the slice and
+  // the checkpoint serialize it in Table's wire form.
+  data::ColumnTable buffer_;
   bool have_schema_ = false;
   bool complete_ = false;
   bool emitted_ = false;

@@ -133,36 +133,10 @@ TEST(ColumnarInvarianceTest, CohortFingerprintShardInvariant) {
   EXPECT_EQ(sharded.events, serial.events);
 }
 
-// The compat row path (DistributeData(Table)) must hand devices exactly
-// the rows the view path does.
-TEST(ColumnarInvarianceTest, RowAndViewDistributionAgree) {
-  FrameworkConfig cfg;
-  cfg.fleet.num_contributors = 60;
-  cfg.fleet.contributor_cohort_size = 4;
-  cfg.fleet.num_processors = 10;
-  cfg.fleet.enable_churn = false;
-  cfg.seed = 5;
-  EdgeletFramework fw(cfg);
-  ASSERT_TRUE(fw.Init().ok());
-
-  data::Table rows = fw.population_view().ToTable();
-  FrameworkConfig cfg2 = cfg;
-  EdgeletFramework fw2(cfg2);
-  ASSERT_TRUE(fw2.Init().ok());
-  ASSERT_TRUE(fw2.fleet()->DistributeData(rows).ok());
-
-  const auto& a = fw.fleet()->contributors();
-  const auto& b = fw2.fleet()->contributors();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i]->local_view().ToTable(), b[i]->local_view().ToTable());
-  }
-}
-
 // At 1M individuals the population must exist once: every device's view
-// aliases the framework's slab, no row materialization happens, and the
-// slab itself stays within columnar-layout bounds (~64 B/row; the old
-// row store was ~6x that before counting the per-device copies).
+// aliases the framework's slab, and the slab itself stays within
+// columnar-layout bounds (~64 B/row; the old row store was ~6x that before
+// counting the per-device copies).
 TEST(ColumnarInvarianceTest, MillionRowsSingleSharedStore) {
   FrameworkConfig cfg;
   cfg.fleet.num_contributors = 1'000'000;
@@ -176,8 +150,6 @@ TEST(ColumnarInvarianceTest, MillionRowsSingleSharedStore) {
   const auto& store = fw.population_store();
   ASSERT_NE(store, nullptr);
   EXPECT_EQ(store->num_rows(), 1'000'000u);
-  // Init must not have materialized the row-store compat copy.
-  EXPECT_FALSE(fw.population_materialized());
 
   size_t covered = 0;
   for (const device::Device* dev : fw.fleet()->contributors()) {

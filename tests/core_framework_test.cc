@@ -229,7 +229,7 @@ TEST_F(PlannerTest, ExposureDropsWithHorizontalPartitioning) {
 TEST(FrameworkTest, InitBuildsPopulationAndFleet) {
   EdgeletFramework fw(StableConfig());
   ASSERT_TRUE(fw.Init().ok());
-  EXPECT_EQ(fw.population().num_rows(), 120u);
+  EXPECT_EQ(fw.population_view().num_rows(), 120u);
   EXPECT_EQ(fw.fleet()->contributors().size(), 120u);
   EXPECT_NE(fw.querier_node(), 0u);
   // Double init rejected.

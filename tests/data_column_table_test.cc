@@ -4,11 +4,14 @@
 #include <memory>
 #include <string>
 
+#include "common/rng.h"
+#include "common/serialize.h"
 #include "data/column_table.h"
 #include "data/generator.h"
 #include "data/schema.h"
 #include "data/table.h"
 #include "data/value.h"
+#include "exec/protocol.h"
 #include "query/predicate.h"
 #include "query/scan.h"
 
@@ -167,6 +170,135 @@ TEST(ColumnTableTest, GeneratorColumnarAndRowPathsAgree) {
   Table rows = GenerateHealthData(params, 42);
   EXPECT_EQ(cols.ToTable(), rows);
   EXPECT_GT(cols.ApproxBytes(), 0u);
+}
+
+// --- Wire codec ---------------------------------------------------------------
+
+// Random population over every column type, with NULLs, empty strings
+// and a column whose schema type is NULL.
+ColumnTable MixedPopulation(size_t rows, uint64_t seed) {
+  Rng rng(seed);
+  ColumnTable ct(Schema({{"i", ValueType::kInt64},
+                         {"d", ValueType::kDouble},
+                         {"s", ValueType::kString},
+                         {"n", ValueType::kNull}}));
+  const char* words[] = {"", "north", "south", ""};
+  for (size_t r = 0; r < rows; ++r) {
+    const bool null_row = rng.NextBelow(5) == 0;
+    if (null_row || rng.NextBelow(4) == 0) {
+      ct.AppendNull(0);
+    } else {
+      ct.AppendInt64(0, rng.NextInt(-1000000, 1000000));
+    }
+    if (null_row) {
+      ct.AppendNull(1);
+    } else {
+      ct.AppendDouble(1, rng.NextDouble(-1e6, 1e6));
+    }
+    if (rng.NextBelow(6) == 0) {
+      ct.AppendNull(2);
+    } else {
+      ct.AppendString(2, words[rng.NextBelow(4)]);
+    }
+    ct.AppendNull(3);
+    ct.FinishRow();
+  }
+  return ct;
+}
+
+Bytes Serialized(const ColumnTable& ct) {
+  Writer w;
+  ct.Serialize(&w);
+  return w.Take();
+}
+
+Bytes Serialized(const Table& t) {
+  Writer w;
+  t.Serialize(&w);
+  return w.Take();
+}
+
+TEST(ColumnCodecTest, SerializeWritesTheRowTableBytes) {
+  ColumnTable mixed = MixedPopulation(600, 7);
+  ASSERT_TRUE(mixed.ColumnHasNulls(0));
+  ASSERT_FALSE(mixed.DictCode(2, "") == ColumnTable::kNullCode);
+  EXPECT_EQ(Serialized(mixed), Serialized(mixed.ToTable()));
+
+  HealthDataParams params;
+  params.num_individuals = 300;
+  ColumnTable health = GenerateHealthColumns(params, 11);
+  EXPECT_EQ(Serialized(health), Serialized(health.ToTable()));
+  EXPECT_EQ(Serialized(ColumnTable()), Serialized(Table()));
+}
+
+TEST(ColumnCodecTest, DeserializeRoundTripsAndAgreesWithRowDecoders) {
+  ColumnTable mixed = MixedPopulation(600, 8);
+  const Bytes bytes = Serialized(mixed);
+
+  Reader r(bytes);
+  auto cols = ColumnTable::Deserialize(&r);
+  ASSERT_TRUE(cols.ok()) << cols.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(Serialized(*cols), bytes);
+
+  Reader rows_reader(bytes);
+  auto rows = Table::Deserialize(&rows_reader);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(cols->ToTable(), *rows);
+  EXPECT_EQ(*rows, mixed.ToTable());
+
+  // The same bytes as a contribution: the builder's path (header, schema,
+  // rows appended into the buffer) reads what ContributionMsg::Decode does.
+  Writer contribution;
+  exec::ContributionMsg::EncodeHeader(3, 99, &contribution);
+  contribution.PutRaw(bytes.data(), bytes.size());
+  auto msg = exec::ContributionMsg::Decode(contribution.data());
+  ASSERT_TRUE(msg.ok());
+  Reader cr(contribution.data());
+  uint64_t query_id = 0;
+  uint64_t key = 0;
+  ASSERT_TRUE(exec::ContributionMsg::DecodeHeader(&cr, &query_id, &key).ok());
+  EXPECT_EQ(query_id, msg->query_id);
+  EXPECT_EQ(key, msg->contributor_key);
+  auto schema = Schema::Deserialize(&cr);
+  ASSERT_TRUE(schema.ok());
+  ColumnTable buffer(std::move(*schema));
+  auto appended = buffer.AppendSerializedRows(&cr, UINT64_MAX);
+  ASSERT_TRUE(appended.ok());
+  EXPECT_EQ(*appended, msg->rows.num_rows());
+  EXPECT_EQ(buffer.ToTable(), msg->rows);
+}
+
+TEST(ColumnCodecTest, AppendSerializedRowsIsAllOrNothing) {
+  const Table rows = TestTable();
+  ColumnTable buffer(TestSchema());
+  // Two good rows, the second past a one-row quota.
+  Writer good;
+  good.PutVarint(2);
+  for (size_t r = 0; r < 2; ++r) {
+    for (const Value& v : rows.row(r)) v.Serialize(&good);
+  }
+  Reader gr(good.data());
+  auto n = buffer.AppendSerializedRows(&gr, 1);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 2u);
+  EXPECT_TRUE(gr.AtEnd());  // the unappended row is consumed too
+  ASSERT_EQ(buffer.num_rows(), 1u);
+  EXPECT_EQ(buffer.MaterializeRow(0), rows.row(0));
+
+  // A good row then a row whose score cell is a string: neither lands,
+  // and the dictionary does not learn the good row's name.
+  const Tuple dave = {Value(int64_t{5}), Value("dave"), Value(1.0)};
+  const Tuple erin = {Value(int64_t{6}), Value("erin"), Value("x")};
+  Writer bad;
+  bad.PutVarint(2);
+  for (const Value& v : dave) v.Serialize(&bad);
+  for (const Value& v : erin) v.Serialize(&bad);
+  Reader br(bad.data());
+  EXPECT_EQ(buffer.AppendSerializedRows(&br, 10).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(buffer.num_rows(), 1u);
+  EXPECT_EQ(buffer.Dictionary(1), std::vector<std::string>{"alice"});
 }
 
 // --- TableView --------------------------------------------------------------

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "data/csv.h"
 #include "data/partition.h"
 #include "data/schema.h"
 #include "data/table.h"
@@ -137,21 +136,6 @@ TEST(TableTest, Project) {
   EXPECT_EQ(p->row(2)[0].AsString(), "carol");
 }
 
-TEST(TableTest, Filter) {
-  Table t = TestTable();
-  Table f = t.Filter([](const Tuple& r) { return r[2].AsDouble() >= 8.0; });
-  EXPECT_EQ(f.num_rows(), 2u);
-}
-
-TEST(TableTest, ConcatChecksSchema) {
-  Table a = TestTable();
-  Table b = TestTable();
-  EXPECT_TRUE(a.Concat(b).ok());
-  EXPECT_EQ(a.num_rows(), 6u);
-  Table other(Schema({{"x", ValueType::kInt64}}));
-  EXPECT_FALSE(a.Concat(other).ok());
-}
-
 TEST(TableTest, SortRowsIsDeterministic) {
   Table t(TestSchema());
   ASSERT_TRUE(t.Append({Value(int64_t{2}), Value("b"), Value(1.0)}).ok());
@@ -159,18 +143,6 @@ TEST(TableTest, SortRowsIsDeterministic) {
   t.SortRows();
   EXPECT_EQ(t.row(0)[0].AsInt64(), 1);
   EXPECT_EQ(t.row(1)[0].AsInt64(), 2);
-}
-
-TEST(TableTest, NumericColumn) {
-  Table t = TestTable();
-  auto c = t.NumericColumn("score");
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c->size(), 3u);
-  EXPECT_DOUBLE_EQ((*c)[0], 9.5);
-  auto ids = t.NumericColumn("id");
-  ASSERT_TRUE(ids.ok());
-  EXPECT_DOUBLE_EQ((*ids)[2], 3.0);
-  EXPECT_FALSE(t.NumericColumn("name").ok());
 }
 
 TEST(TableTest, SerializationRoundTrip) {
@@ -236,49 +208,6 @@ TEST(TableTest, ZeroArityRowCountIsCapped) {
   hostile.PutVarint(Table::kMaxColumnlessRows + 1);
   Reader r(hostile.data());
   EXPECT_EQ(Table::Deserialize(&r).status().code(), StatusCode::kCorruption);
-}
-
-// --- CSV ----------------------------------------------------------------------
-
-TEST(CsvTest, RoundTrip) {
-  Table t = TestTable();
-  std::string csv = TableToCsv(t);
-  auto back = TableFromCsv(csv, t.schema());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->num_rows(), 3u);
-  EXPECT_EQ(back->row(0)[1].AsString(), "alice");
-  EXPECT_DOUBLE_EQ(back->row(1)[2].AsDouble(), 7.25);
-}
-
-TEST(CsvTest, QuotedFields) {
-  Table t(Schema({{"s", ValueType::kString}}));
-  ASSERT_TRUE(t.Append({Value("has,comma")}).ok());
-  ASSERT_TRUE(t.Append({Value("has\"quote")}).ok());
-  ASSERT_TRUE(t.Append({Value("has\nnewline")}).ok());
-  std::string csv = TableToCsv(t);
-  auto back = TableFromCsv(csv, t.schema());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->row(0)[0].AsString(), "has,comma");
-  EXPECT_EQ(back->row(1)[0].AsString(), "has\"quote");
-  EXPECT_EQ(back->row(2)[0].AsString(), "has\nnewline");
-}
-
-TEST(CsvTest, NullsAsEmptyFields) {
-  Table t(TestSchema());
-  ASSERT_TRUE(t.Append({Value::Null(), Value("x"), Value::Null()}).ok());
-  auto back = TableFromCsv(TableToCsv(t), t.schema());
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->row(0)[0].is_null());
-  EXPECT_TRUE(back->row(0)[2].is_null());
-}
-
-TEST(CsvTest, HeaderMismatchRejected) {
-  EXPECT_FALSE(TableFromCsv("a,b\n1,2\n", TestSchema()).ok());
-}
-
-TEST(CsvTest, BadNumericRejected) {
-  Schema s({{"id", ValueType::kInt64}});
-  EXPECT_FALSE(TableFromCsv("id\nnot_a_number\n", s).ok());
 }
 
 // --- Partitioning ----------------------------------------------------------------

@@ -12,9 +12,12 @@
 #include "exec/recovery.h"
 #include "exec/snapshot_builder.h"
 #include "store/medium.h"
+#include "view_util.h"
 
 namespace edgelet::exec {
 namespace {
+
+using testutil::ViewOf;
 
 data::Schema MiniSchema() {
   return data::Schema({{"region", data::ValueType::kString},
@@ -347,6 +350,58 @@ TEST_F(ActorTest, SnapshotBuilderDropsHostileContribution) {
   EXPECT_EQ(sink.slices[0].rows.num_rows(), 2u);
 }
 
+// A contribution shaped for another vertical group, or with a cell its
+// column cannot hold, is authenticated but must not enter the buffer:
+// the slice would carry rows of mixed arity and fail to decode at the
+// computer, killing the chain.
+TEST_F(ActorTest, SnapshotBuilderDropsContributionWithForeignSchema) {
+  device::Device* sb_dev = NewDevice();
+  device::Device* sink_dev = NewDevice();
+  SliceSink sink(&transport_, sink_dev);
+
+  SnapshotBuilderActor::Config cfg;
+  cfg.query_id = 1;
+  cfg.quota = 2;
+  cfg.computers = {sink_dev->id()};
+  cfg.columns = {"region", "bmi"};
+  cfg.replica = Singleton(sb_dev);
+  SnapshotBuilderActor sb(&transport_, sb_dev, cfg);
+  sb.Start();
+
+  device::Device* contributor = NewDevice();
+  auto send = [&](uint64_t key, data::Schema schema, data::Tuple row) {
+    ContributionMsg msg;
+    msg.query_id = 1;
+    msg.contributor_key = key;
+    msg.rows = data::Table(std::move(schema));
+    msg.rows.AppendUnchecked(std::move(row));
+    ASSERT_TRUE(
+        contributor->SendSealed(sb_dev->id(), kContribution, msg.Encode())
+            .ok());
+  };
+  SendContribution(contributor, sb_dev->id(), 1, "north", 20.0);
+  send(2, data::Schema({{"bmi", data::ValueType::kDouble}}),
+       {data::Value(21.0)});
+  send(3,
+       data::Schema({{"region", data::ValueType::kString},
+                     {"bmi", data::ValueType::kInt64}}),
+       {data::Value("south"), data::Value(int64_t{21})});
+  send(4, MiniSchema(), {data::Value("west"), data::Value("21.0")});
+  sim_.RunUntil(kMinute);
+  EXPECT_EQ(sb.tuples_collected(), 1u);
+  EXPECT_FALSE(sb.snapshot_complete());
+
+  // The dropped contributions consumed no key: key 2's honest row
+  // completes the snapshot, and its slice decodes (SliceSink asserts so).
+  SendContribution(contributor, sb_dev->id(), 2, "south", 21.0);
+  sim_.RunUntil(2 * kMinute);
+  ASSERT_TRUE(sb.snapshot_complete());
+  ASSERT_EQ(sink.slices.size(), 1u);
+  EXPECT_EQ(sink.slices[0].rows.schema(), MiniSchema());
+  EXPECT_EQ(sink.slices[0].rows.num_rows(), 2u);
+  EXPECT_EQ(sb.included_contributors(), (std::vector<uint64_t>{1, 2}));
+}
+
 TEST_F(ActorTest, SnapshotBuilderIgnoresWrongQuery) {
   device::Device* sb_dev = NewDevice();
   device::Device* sink_dev = NewDevice();
@@ -411,8 +466,9 @@ TEST_F(ActorTest, ComputerTakesFirstEpochOnly) {
     slice.partition = 0;
     slice.vgroup = 0;
     slice.epoch = epoch;
-    slice.rows = data::Table(MiniSchema());
-    slice.rows.AppendUnchecked({data::Value("north"), data::Value(bmi)});
+    slice.rows = data::ColumnTable(MiniSchema());
+    ASSERT_TRUE(
+        slice.rows.AppendTuple({data::Value("north"), data::Value(bmi)}).ok());
     ASSERT_TRUE(
         sb_dev->SendSealed(comp_dev->id(), kSnapshotSlice, slice.Encode())
             .ok());
@@ -456,7 +512,7 @@ TEST_F(ActorTest, CombinerMergesExactlyFirstNPartitions) {
   auto send_partial = [&](uint32_t partition, double bmi) {
     data::Table t(MiniSchema());
     t.AppendUnchecked({data::Value("north"), data::Value(bmi)});
-    auto result = query::GroupingSetsResult::Compute(t, MiniSpec());
+    auto result = query::GroupingSetsResult::Compute(ViewOf(t), MiniSpec());
     ASSERT_TRUE(result.ok());
     GsPartialMsg msg;
     msg.query_id = 1;
@@ -509,7 +565,7 @@ TEST_F(ActorTest, CombinerIgnoresDuplicateVgroupPartials) {
 
   data::Table t(MiniSchema());
   t.AppendUnchecked({data::Value("north"), data::Value(30.0)});
-  auto partial = query::GroupingSetsResult::Compute(t, MiniSpec());
+  auto partial = query::GroupingSetsResult::Compute(ViewOf(t), MiniSpec());
   ASSERT_TRUE(partial.ok());
   GsPartialMsg msg;
   msg.query_id = 1;
@@ -559,7 +615,7 @@ TEST_F(ActorTest, CombinerEvictsPoisonedPartitionAndUsesSpare) {
       {{"region"}}, {{query::AggregateFunction::kCount, "*"}}};
   data::Table pt(MiniSchema());
   pt.AppendUnchecked({data::Value("north"), data::Value(1.0)});
-  auto poison = query::GroupingSetsResult::Compute(pt, poison_spec);
+  auto poison = query::GroupingSetsResult::Compute(ViewOf(pt), poison_spec);
   ASSERT_TRUE(poison.ok());
   GsPartialMsg bad;
   bad.query_id = 1;
@@ -574,7 +630,7 @@ TEST_F(ActorTest, CombinerEvictsPoisonedPartitionAndUsesSpare) {
   auto send_good = [&](uint32_t partition, double bmi) {
     data::Table t(MiniSchema());
     t.AppendUnchecked({data::Value("north"), data::Value(bmi)});
-    auto result = query::GroupingSetsResult::Compute(t, MiniSpec());
+    auto result = query::GroupingSetsResult::Compute(ViewOf(t), MiniSpec());
     ASSERT_TRUE(result.ok());
     GsPartialMsg msg;
     msg.query_id = 1;
@@ -627,7 +683,7 @@ TEST_F(ActorTest, CombinerRejectsOutOfRangeWireFields) {
   auto send_partial = [&](uint32_t partition, uint32_t vgroup) {
     data::Table t(MiniSchema());
     t.AppendUnchecked({data::Value("north"), data::Value(10.0)});
-    auto result = query::GroupingSetsResult::Compute(t, MiniSpec());
+    auto result = query::GroupingSetsResult::Compute(ViewOf(t), MiniSpec());
     ASSERT_TRUE(result.ok());
     GsPartialMsg msg;
     msg.query_id = 1;
@@ -700,7 +756,7 @@ TEST_F(ActorTest, StandbyCombinerStopsResendsAfterYieldingLeadership) {
                   [&]() { network_.SetOnline(leader_dev->id(), false); });
   data::Table t(MiniSchema());
   t.AppendUnchecked({data::Value("north"), data::Value(10.0)});
-  auto partial = query::GroupingSetsResult::Compute(t, MiniSpec());
+  auto partial = query::GroupingSetsResult::Compute(ViewOf(t), MiniSpec());
   ASSERT_TRUE(partial.ok());
   GsPartialMsg msg;
   msg.query_id = 1;

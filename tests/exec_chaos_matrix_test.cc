@@ -18,9 +18,12 @@
 #include "core/validity_oracle.h"
 #include "device/fleet.h"
 #include "exec/protocol.h"
+#include "view_util.h"
 
 namespace edgelet::core {
 namespace {
+
+using testutil::ViewOf;
 
 using chaos::ChaosConfig;
 using chaos::ChaosInjector;
@@ -120,7 +123,7 @@ TEST(ChaosMatrixTest, PoisonedPartialMergeRecoversThroughSparePartition) {
       {{}}, {{AggregateFunction::kCount, "*"}}};
   data::Table t(data::Schema({{"x", data::ValueType::kInt64}}));
   t.AppendUnchecked({data::Value(int64_t{1})});
-  auto poison = query::GroupingSetsResult::Compute(t, poison_spec);
+  auto poison = query::GroupingSetsResult::Compute(ViewOf(t), poison_spec);
   ASSERT_TRUE(poison.ok());
   exec::GsPartialMsg msg;
   msg.query_id = d->query.query_id;

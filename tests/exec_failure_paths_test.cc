@@ -6,9 +6,12 @@
 #include "core/framework.h"
 #include "core/validity_oracle.h"
 #include "exec/protocol.h"
+#include "view_util.h"
 
 namespace edgelet::core {
 namespace {
+
+using testutil::ViewOf;
 
 using exec::Strategy;
 using query::AggregateFunction;
@@ -183,8 +186,8 @@ TEST(FailurePathsTest, OutOfRangeWirePartialsCannotCorruptTheResult) {
   // would merge them cleanly into a wrong (but successful) result.
   data::Table junk(data::Schema({{"region", data::ValueType::kString}}));
   junk.AppendUnchecked({data::Value("nowhere")});
-  auto junk_result =
-      query::GroupingSetsResult::Compute(junk, d->query.grouping_sets);
+  auto junk_result = query::GroupingSetsResult::Compute(
+      ViewOf(junk), d->query.grouping_sets);
   ASSERT_TRUE(junk_result.ok());
   device::Device* sender = fw.fleet()->by_node(d->combiner_group[0]);
   ASSERT_NE(sender, nullptr);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/serialize.h"
 #include "exec/protocol.h"
 #include "ml/kmeans.h"
@@ -90,6 +92,51 @@ TEST(HostileDecoderTest, ClusterStatsAdmitsMinimalStates) {
   auto back = ClusterStats::Deserialize(&r);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->per_cluster, stats.per_cluster);
+}
+
+// The columnar snapshot decoder (builder buffers, slices, checkpoints).
+// Each payload is a one-column table whose rows section is hostile.
+Status DecodeColumns(data::ValueType type,
+                     const std::function<void(Writer*)>& rows) {
+  Writer w;
+  data::Schema({{"c", type}}).Serialize(&w);
+  rows(&w);
+  Reader r(w.data());
+  return data::ColumnTable::Deserialize(&r).status();
+}
+
+TEST(HostileDecoderTest, ColumnTableRejectsInflatedRowCount) {
+  Status s = DecodeColumns(data::ValueType::kInt64, [](Writer* w) {
+    w->PutVarint(kHuge);
+    data::PutInt64Cell(w, 1);
+  });
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+}
+
+TEST(HostileDecoderTest, ColumnTableRejectsMistypedCell) {
+  Status s = DecodeColumns(data::ValueType::kInt64, [](Writer* w) {
+    w->PutVarint(1);
+    data::PutStringCell(w, "not a number");
+  });
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+}
+
+TEST(HostileDecoderTest, ColumnTableRejectsUnknownTag) {
+  Status s = DecodeColumns(data::ValueType::kDouble, [](Writer* w) {
+    w->PutVarint(1);
+    w->PutU8(9);
+  });
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+}
+
+TEST(HostileDecoderTest, ColumnTableRejectsTruncatedString) {
+  Status s = DecodeColumns(data::ValueType::kString, [](Writer* w) {
+    w->PutVarint(1);
+    w->PutU8(static_cast<uint8_t>(data::ValueType::kString));
+    w->PutVarint(1000);  // a 1000-byte string ...
+    w->PutRaw("abc", 3);  // ... with three bytes left
+  });
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -9,9 +9,12 @@
 #include "data/column_table.h"
 #include "data/generator.h"
 #include "exec/execution.h"
+#include "view_util.h"
 
 namespace edgelet::exec {
 namespace {
+
+using testutil::ViewOf;
 
 data::Table SmallTable() {
   data::HealthDataParams params;
@@ -137,20 +140,32 @@ TEST(ProtocolTest, SnapshotSliceRoundTrip) {
   msg.partition = 3;
   msg.vgroup = 2;
   msg.epoch = 1;
-  msg.rows = SmallTable();
-  auto back = SnapshotSliceMsg::Decode(msg.Encode());
+  auto rows = data::ColumnTable::FromTable(SmallTable());
+  ASSERT_TRUE(rows.ok());
+  msg.rows = std::move(*rows);
+  const Bytes encoded = msg.Encode();
+  // The columnar slice keeps the row table's wire bytes.
+  Writer expected;
+  expected.PutU64(1);
+  expected.PutU32(3);
+  expected.PutU32(2);
+  expected.PutU32(1);
+  SmallTable().Serialize(&expected);
+  EXPECT_EQ(encoded, expected.data());
+  auto back = SnapshotSliceMsg::Decode(encoded);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->partition, 3u);
   EXPECT_EQ(back->vgroup, 2u);
   EXPECT_EQ(back->epoch, 1u);
-  EXPECT_EQ(back->rows, msg.rows);
+  EXPECT_EQ(back->rows.ToTable(), SmallTable());
 }
 
 TEST(ProtocolTest, GsPartialRoundTrip) {
   query::GroupingSetsSpec spec{
       {{"region"}},
       {{query::AggregateFunction::kCount, "*"}}};
-  auto result = query::GroupingSetsResult::Compute(SmallTable(), spec);
+  auto result =
+      query::GroupingSetsResult::Compute(ViewOf(SmallTable()), spec);
   ASSERT_TRUE(result.ok());
   GsPartialMsg msg;
   msg.query_id = 9;

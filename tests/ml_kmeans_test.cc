@@ -7,9 +7,12 @@
 #include "data/generator.h"
 #include "data/partition.h"
 #include "ml/metrics.h"
+#include "view_util.h"
 
 namespace edgelet::ml {
 namespace {
+
+using testutil::ViewOf;
 
 // Three well-separated 2-D blobs.
 Matrix Blobs(int per_blob, uint64_t seed) {
@@ -34,12 +37,12 @@ TEST(KMeansTest, ExtractPoints) {
   data::HealthDataParams params;
   params.num_individuals = 50;
   data::Table t = data::GenerateHealthData(params, 2);
-  auto points = ExtractPoints(t, {"age", "bmi"});
+  auto points = ExtractPoints(ViewOf(t), {"age", "bmi"});
   ASSERT_TRUE(points.ok());
   EXPECT_EQ(points->size(), 50u);
   EXPECT_EQ((*points)[0].size(), 2u);
-  EXPECT_FALSE(ExtractPoints(t, {"sex"}).ok());  // non-numeric
-  EXPECT_FALSE(ExtractPoints(t, {"ghost"}).ok());
+  EXPECT_FALSE(ExtractPoints(ViewOf(t), {"sex"}).ok());  // non-numeric
+  EXPECT_FALSE(ExtractPoints(ViewOf(t), {"ghost"}).ok());
 }
 
 TEST(KMeansTest, PlusPlusInitPicksDistinctSpreadCentroids) {

@@ -6,9 +6,12 @@
 #include "data/generator.h"
 #include "data/partition.h"
 #include "query/grouping_sets.h"
+#include "view_util.h"
 
 namespace edgelet::query {
 namespace {
+
+using testutil::ViewOf;
 
 using data::Table;
 using data::Value;
@@ -34,7 +37,7 @@ Table PeopleTable() {
 
 TEST(GroupByTest, GlobalAggregate) {
   GroupBySpec spec{{}, {{AggregateFunction::kAvg, "age"}}};
-  auto agg = GroupedAggregation::Compute(PeopleTable(), spec);
+  auto agg = GroupedAggregation::Compute(ViewOf(PeopleTable()), spec);
   ASSERT_TRUE(agg.ok());
   EXPECT_EQ(agg->num_groups(), 1u);
   Table out = agg->Finalize();
@@ -46,7 +49,7 @@ TEST(GroupByTest, SingleKey) {
   GroupBySpec spec{{"region"},
                    {{AggregateFunction::kCount, "*"},
                     {AggregateFunction::kAvg, "bmi"}}};
-  auto agg = GroupedAggregation::Compute(PeopleTable(), spec);
+  auto agg = GroupedAggregation::Compute(ViewOf(PeopleTable()), spec);
   ASSERT_TRUE(agg.ok());
   Table out = agg->Finalize();
   ASSERT_EQ(out.num_rows(), 2u);
@@ -65,35 +68,35 @@ TEST(GroupByTest, SingleKey) {
 
 TEST(GroupByTest, CompositeKey) {
   GroupBySpec spec{{"region", "sex"}, {{AggregateFunction::kCount, "*"}}};
-  auto agg = GroupedAggregation::Compute(PeopleTable(), spec);
+  auto agg = GroupedAggregation::Compute(ViewOf(PeopleTable()), spec);
   ASSERT_TRUE(agg.ok());
   EXPECT_EQ(agg->num_groups(), 4u);  // north/F north/M south/F south/M
 }
 
 TEST(GroupByTest, UnknownColumnFails) {
   GroupBySpec spec{{"nope"}, {{AggregateFunction::kCount, "*"}}};
-  EXPECT_FALSE(GroupedAggregation::Compute(PeopleTable(), spec).ok());
+  EXPECT_FALSE(GroupedAggregation::Compute(ViewOf(PeopleTable()), spec).ok());
   GroupBySpec spec2{{"region"}, {{AggregateFunction::kSum, "nope"}}};
-  EXPECT_FALSE(GroupedAggregation::Compute(PeopleTable(), spec2).ok());
+  EXPECT_FALSE(GroupedAggregation::Compute(ViewOf(PeopleTable()), spec2).ok());
 }
 
 TEST(GroupByTest, StarOnlyValidForCount) {
   GroupBySpec spec{{"region"}, {{AggregateFunction::kSum, "*"}}};
-  EXPECT_FALSE(GroupedAggregation::Compute(PeopleTable(), spec).ok());
+  EXPECT_FALSE(GroupedAggregation::Compute(ViewOf(PeopleTable()), spec).ok());
 }
 
 TEST(GroupByTest, MergeSpecMismatchFails) {
   GroupBySpec s1{{"region"}, {{AggregateFunction::kCount, "*"}}};
   GroupBySpec s2{{"sex"}, {{AggregateFunction::kCount, "*"}}};
-  auto a = GroupedAggregation::Compute(PeopleTable(), s1);
-  auto b = GroupedAggregation::Compute(PeopleTable(), s2);
+  auto a = GroupedAggregation::Compute(ViewOf(PeopleTable()), s1);
+  auto b = GroupedAggregation::Compute(ViewOf(PeopleTable()), s2);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_FALSE(a->Merge(*b).ok());
 }
 
 TEST(GroupByTest, DefaultConstructedAdoptsSpecOnMerge) {
   GroupBySpec spec{{"region"}, {{AggregateFunction::kCount, "*"}}};
-  auto a = GroupedAggregation::Compute(PeopleTable(), spec);
+  auto a = GroupedAggregation::Compute(ViewOf(PeopleTable()), spec);
   ASSERT_TRUE(a.ok());
   GroupedAggregation acc;
   EXPECT_TRUE(acc.Merge(*a).ok());
@@ -113,14 +116,14 @@ TEST(GroupByTest, PartitionedMergeEqualsCentralized) {
                     {AggregateFunction::kMax, "systolic_bp"},
                     {AggregateFunction::kVariance, "chronic_count"}}};
 
-  auto central = GroupedAggregation::Compute(table, spec);
+  auto central = GroupedAggregation::Compute(ViewOf(table), spec);
   ASSERT_TRUE(central.ok());
 
   auto parts = data::PartitionByHash(table, "contributor_id", 8);
   ASSERT_TRUE(parts.ok());
   GroupedAggregation merged;
   for (const auto& p : *parts) {
-    auto partial = GroupedAggregation::Compute(p, spec);
+    auto partial = GroupedAggregation::Compute(ViewOf(p), spec);
     ASSERT_TRUE(partial.ok());
     ASSERT_TRUE(merged.Merge(*partial).ok());
   }
@@ -147,7 +150,7 @@ TEST(GroupByTest, SerializationRoundTrip) {
   GroupBySpec spec{{"region"},
                    {{AggregateFunction::kCount, "*"},
                     {AggregateFunction::kAvg, "bmi"}}};
-  auto agg = GroupedAggregation::Compute(PeopleTable(), spec);
+  auto agg = GroupedAggregation::Compute(ViewOf(PeopleTable()), spec);
   ASSERT_TRUE(agg.ok());
   Writer w;
   agg->Serialize(&w);
@@ -176,7 +179,7 @@ TEST(GroupingSetsTest, ColumnHelpers) {
 }
 
 TEST(GroupingSetsTest, ComputeAllSets) {
-  auto result = GroupingSetsResult::Compute(PeopleTable(), DemoSpec());
+  auto result = GroupingSetsResult::Compute(ViewOf(PeopleTable()), DemoSpec());
   ASSERT_TRUE(result.ok());
   auto table = result->Finalize();
   ASSERT_TRUE(table.ok()) << table.status().ToString();
@@ -187,7 +190,7 @@ TEST(GroupingSetsTest, ComputeAllSets) {
 }
 
 TEST(GroupingSetsTest, NullsForAbsentKeys) {
-  auto result = GroupingSetsResult::Compute(PeopleTable(), DemoSpec());
+  auto result = GroupingSetsResult::Compute(ViewOf(PeopleTable()), DemoSpec());
   ASSERT_TRUE(result.ok());
   auto table = result->Finalize();
   ASSERT_TRUE(table.ok());
@@ -212,8 +215,8 @@ TEST(GroupingSetsTest, PartialSetsAndStitching) {
   // Vertical partitioning: computer A evaluates sets {0}, computer B sets
   // {1, 2}; the combiner stitches.
   GroupingSetsSpec spec = DemoSpec();
-  auto a = GroupingSetsResult::ComputeSets(PeopleTable(), spec, {0});
-  auto b = GroupingSetsResult::ComputeSets(PeopleTable(), spec, {1, 2});
+  auto a = GroupingSetsResult::ComputeSets(ViewOf(PeopleTable()), spec, {0});
+  auto b = GroupingSetsResult::ComputeSets(ViewOf(PeopleTable()), spec, {1, 2});
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(a->HasSet(0));
   EXPECT_FALSE(a->HasSet(1));
@@ -226,7 +229,7 @@ TEST(GroupingSetsTest, PartialSetsAndStitching) {
   auto stitched = acc.Finalize();
   ASSERT_TRUE(stitched.ok());
 
-  auto full = GroupingSetsResult::Compute(PeopleTable(), spec);
+  auto full = GroupingSetsResult::Compute(ViewOf(PeopleTable()), spec);
   ASSERT_TRUE(full.ok());
   auto expected = full->Finalize();
   ASSERT_TRUE(expected.ok());
@@ -241,7 +244,7 @@ TEST(GroupingSetsTest, MergeAcrossHorizontalPartitions) {
       {{"region"}, {"dependency"}},
       {{AggregateFunction::kCount, "*"}, {AggregateFunction::kAvg, "age"}}};
 
-  auto central = GroupingSetsResult::Compute(table, spec);
+  auto central = GroupingSetsResult::Compute(ViewOf(table), spec);
   ASSERT_TRUE(central.ok());
   auto expected = central->Finalize();
   ASSERT_TRUE(expected.ok());
@@ -250,7 +253,7 @@ TEST(GroupingSetsTest, MergeAcrossHorizontalPartitions) {
   ASSERT_TRUE(parts.ok());
   GroupingSetsResult acc;
   for (const auto& p : *parts) {
-    auto partial = GroupingSetsResult::Compute(p, spec);
+    auto partial = GroupingSetsResult::Compute(ViewOf(p), spec);
     ASSERT_TRUE(partial.ok());
     ASSERT_TRUE(acc.Merge(*partial).ok());
   }
@@ -271,7 +274,7 @@ TEST(GroupingSetsTest, MergeAcrossHorizontalPartitions) {
 }
 
 TEST(GroupingSetsTest, SerializationRoundTrip) {
-  auto result = GroupingSetsResult::Compute(PeopleTable(), DemoSpec());
+  auto result = GroupingSetsResult::Compute(ViewOf(PeopleTable()), DemoSpec());
   ASSERT_TRUE(result.ok());
   Writer w;
   result->Serialize(&w);
@@ -285,7 +288,8 @@ TEST(GroupingSetsTest, SerializationRoundTrip) {
 }
 
 TEST(GroupingSetsTest, PartialSerializationPreservesPresence) {
-  auto a = GroupingSetsResult::ComputeSets(PeopleTable(), DemoSpec(), {1});
+  auto a =
+      GroupingSetsResult::ComputeSets(ViewOf(PeopleTable()), DemoSpec(), {1});
   ASSERT_TRUE(a.ok());
   Writer w;
   a->Serialize(&w);

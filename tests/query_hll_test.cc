@@ -10,9 +10,12 @@
 #include "data/generator.h"
 #include "data/partition.h"
 #include "query/groupby.h"
+#include "view_util.h"
 
 namespace edgelet::query {
 namespace {
+
+using testutil::ViewOf;
 
 TEST(HllTest, EmptyEstimatesZero) {
   HyperLogLog hll;
@@ -127,7 +130,7 @@ TEST(CountDistinctTest, ExactForSmallGroups) {
   GroupBySpec spec{{"region"},
                    {{AggregateFunction::kCountDistinct, "person"},
                     {AggregateFunction::kCount, "person"}}};
-  auto agg = GroupedAggregation::Compute(t, spec);
+  auto agg = GroupedAggregation::Compute(ViewOf(t), spec);
   ASSERT_TRUE(agg.ok());
   data::Table out = agg->Finalize();
   ASSERT_EQ(out.num_rows(), 2u);
@@ -143,14 +146,14 @@ TEST(CountDistinctTest, MergeAcrossPartitionsMatchesCentralized) {
   data::Table table = data::GenerateHealthData(params, 9);
   GroupBySpec spec{{}, {{AggregateFunction::kCountDistinct, "dependency"}}};
 
-  auto central = GroupedAggregation::Compute(table, spec);
+  auto central = GroupedAggregation::Compute(ViewOf(table), spec);
   ASSERT_TRUE(central.ok());
 
   auto parts = data::PartitionByHash(table, "contributor_id", 6);
   ASSERT_TRUE(parts.ok());
   GroupedAggregation merged;
   for (const auto& p : *parts) {
-    auto partial = GroupedAggregation::Compute(p, spec);
+    auto partial = GroupedAggregation::Compute(ViewOf(p), spec);
     ASSERT_TRUE(partial.ok());
     ASSERT_TRUE(merged.Merge(*partial).ok());
   }
@@ -187,7 +190,7 @@ TEST(CountDistinctTest, StarRejected) {
   data::Schema schema({{"x", data::ValueType::kInt64}});
   data::Table t(schema);
   GroupBySpec spec{{}, {{AggregateFunction::kCountDistinct, "*"}}};
-  EXPECT_FALSE(GroupedAggregation::Compute(t, spec).ok());
+  EXPECT_FALSE(GroupedAggregation::Compute(ViewOf(t), spec).ok());
 }
 
 }  // namespace

@@ -9,9 +9,12 @@
 #include "data/generator.h"
 #include "data/partition.h"
 #include "query/groupby.h"
+#include "view_util.h"
 
 namespace edgelet::query {
 namespace {
+
+using testutil::ViewOf;
 
 // Exact quantile of a sample, by sorting.
 double ExactQuantile(std::vector<double> values, double q) {
@@ -135,7 +138,7 @@ TEST(QuantileAggregateTest, MedianPerGroup) {
                           data::Value(static_cast<double>(i))}).ok());
   }
   GroupBySpec spec{{"g"}, {{AggregateFunction::kQuantile, "v", 0.5}}};
-  auto agg = GroupedAggregation::Compute(t, spec);
+  auto agg = GroupedAggregation::Compute(ViewOf(t), spec);
   ASSERT_TRUE(agg.ok());
   data::Table out = agg->Finalize();
   ASSERT_EQ(out.num_rows(), 1u);
@@ -149,15 +152,19 @@ TEST(QuantileAggregateTest, MergeAcrossPartitionsStaysAccurate) {
   data::Table table = data::GenerateHealthData(params, 21);
   GroupBySpec spec{{}, {{AggregateFunction::kQuantile, "bmi", 0.5}}};
 
-  auto exact_values = table.NumericColumn("bmi");
-  ASSERT_TRUE(exact_values.ok());
-  double exact = ExactQuantile(*exact_values, 0.5);
+  auto bmi = table.schema().IndexOf("bmi");
+  ASSERT_TRUE(bmi.ok());
+  std::vector<double> exact_values;
+  for (const auto& row : table.rows()) {
+    exact_values.push_back(row[*bmi].AsDouble());
+  }
+  double exact = ExactQuantile(exact_values, 0.5);
 
   auto parts = data::PartitionByHash(table, "contributor_id", 8);
   ASSERT_TRUE(parts.ok());
   GroupedAggregation merged;
   for (const auto& p : *parts) {
-    auto partial = GroupedAggregation::Compute(p, spec);
+    auto partial = GroupedAggregation::Compute(ViewOf(p), spec);
     ASSERT_TRUE(partial.ok());
     ASSERT_TRUE(merged.Merge(*partial).ok());
   }

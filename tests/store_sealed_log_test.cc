@@ -70,8 +70,8 @@ TEST_F(SealedLogTest, AppendReplayRoundTrip) {
 // Damage helper: appends `n` records on a fault-free medium and returns
 // the byte offset where each frame starts (frame i spans
 // [offsets[i], offsets[i+1])), so tests can damage a precise frame.
-std::vector<size_t> AppendFrames(tee::Enclave* enclave, MemoryMedium* medium,
-                                 SealedLog* log, size_t n) {
+std::vector<size_t> AppendFrames(MemoryMedium* medium, SealedLog* log,
+                                 size_t n) {
   std::vector<size_t> offsets;
   for (size_t i = 0; i < n; ++i) {
     offsets.push_back(static_cast<size_t>(medium->bytes_persisted()));
@@ -85,7 +85,7 @@ TEST_F(SealedLogTest, TornFinalWriteSalvagesPrefix) {
   tee::Enclave enclave = MakeEnclave(1);
   MemoryMedium medium;
   SealedLog log(&enclave, &medium);
-  std::vector<size_t> at = AppendFrames(&enclave, &medium, &log, 3);
+  std::vector<size_t> at = AppendFrames(&medium, &log, 3);
 
   // Power loss mid-write: only part of the last frame made it to media.
   Bytes raw = *medium.ReadAll();
@@ -113,7 +113,7 @@ TEST_F(SealedLogTest, TruncationMidHeaderDetected) {
   tee::Enclave enclave = MakeEnclave(1);
   MemoryMedium medium;
   SealedLog log(&enclave, &medium);
-  std::vector<size_t> at = AppendFrames(&enclave, &medium, &log, 2);
+  std::vector<size_t> at = AppendFrames(&medium, &log, 2);
 
   // Truncate inside the final frame's header — fewer bytes than even the
   // fixed header needs.
@@ -133,7 +133,7 @@ TEST_F(SealedLogTest, BitFlipInPayloadDetected) {
   tee::Enclave enclave = MakeEnclave(1);
   MemoryMedium medium;
   SealedLog log(&enclave, &medium);
-  std::vector<size_t> at = AppendFrames(&enclave, &medium, &log, 3);
+  std::vector<size_t> at = AppendFrames(&medium, &log, 3);
 
   // Silent media corruption: one bit flips inside the middle frame's
   // sealed payload. The chain breaks there; the prefix before it salvages.
@@ -154,7 +154,7 @@ TEST_F(SealedLogTest, BitFlipInHeaderDetected) {
   tee::Enclave enclave = MakeEnclave(1);
   MemoryMedium medium;
   SealedLog log(&enclave, &medium);
-  std::vector<size_t> at = AppendFrames(&enclave, &medium, &log, 2);
+  std::vector<size_t> at = AppendFrames(&medium, &log, 2);
 
   // Corrupt the seq field of the last frame's header.
   Bytes raw = *medium.ReadAll();
@@ -172,7 +172,7 @@ TEST_F(SealedLogTest, ReplayedStaleFrameDetected) {
   tee::Enclave enclave = MakeEnclave(1);
   MemoryMedium medium;
   SealedLog log(&enclave, &medium);
-  std::vector<size_t> at = AppendFrames(&enclave, &medium, &log, 3);
+  std::vector<size_t> at = AppendFrames(&medium, &log, 3);
 
   // A rollback/splice attack: re-append a byte-perfect copy of the first
   // (stale) frame at the tail. Its AEAD tag verifies, but the hash chain
@@ -195,7 +195,7 @@ TEST_F(SealedLogTest, ForeignEnclaveCannotUnseal) {
   tee::Enclave writer = MakeEnclave(1);
   MemoryMedium medium;
   SealedLog log(&writer, &medium);
-  AppendFrames(&writer, &medium, &log, 2);
+  AppendFrames(&medium, &log, 2);
 
   // A different enclave identity (different sealing key) finds the chain
   // but cannot unseal a single record: everything is discarded, nothing
